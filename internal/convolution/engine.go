@@ -30,6 +30,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"math/bits"
 	"sync"
 
 	"repro/internal/numeric"
@@ -164,9 +165,10 @@ func (e *Engine) Size() int {
 
 // MemoryBytes reports the engine's retained lattice memory: every
 // materialised float array (prefix/suffix chains, capacity coefficients,
-// doubled and leave-one-out convolutions) plus the plane index. Callers
-// budgeting a shared oracle cache (core.OracleCache) poll this after
-// queries, since EnsureBox grows the footprint lazily.
+// doubled and leave-one-out convolutions) plus the plane index and the
+// neighbour mask. Callers budgeting a shared oracle cache
+// (core.OracleCache) poll this after queries, since EnsureBox grows the
+// footprint lazily.
 func (e *Engine) MemoryBytes() int64 {
 	e.mu.RLock()
 	defer e.mu.RUnlock()
@@ -174,6 +176,7 @@ func (e *Engine) MemoryBytes() int64 {
 	for _, plane := range e.lat.planes {
 		n += int64(len(plane)) * 4
 	}
+	n += int64(len(e.lat.mask)) * 4
 	for _, group := range [][]scaled{e.lat.prefix, e.lat.suffix, e.lat.c, e.lat.gPlus, e.lat.gMinus} {
 		for i := range group {
 			n += int64(len(group[i].v)) * 8
@@ -316,13 +319,23 @@ func (a *scaled) rescale() error {
 
 // lattice is the cached convolution state of one bounding box.
 type lattice struct {
-	s      *solver
-	planes [][]int32 // lattice indices grouped by total population
+	s       *solver
+	workers int       // goroutines for sweeps run after construction
+	planes  [][]int32 // lattice indices grouped by total population
+	// mask[idx] has bit k set iff the point's population on the k-th
+	// active chain (h_w > 0, ascending w) is positive: the e_w neighbours
+	// the fixed-rate recursion reads, without decoding idx. Plane indices
+	// are int32, so a lattice has fewer than 2^31 points and hence fewer
+	// than 31 active chains.
+	mask []uint32
 	// prefix[k] convolves stations 0..k-1 (prefix[0] is the identity);
 	// prefix[n] is the full g array. suffix[k] convolves stations
 	// k..n-1. cShift[k] accumulates the capacity-coefficient shifts of
 	// stations 0..k-1 into prefix[k].shift (and symmetrically for
-	// suffix), so shifts compare directly across arrays.
+	// suffix), so shifts compare directly across arrays. Only g_(i-)
+	// reads the suffix chain, so it is materialised with the first of
+	// them (ensureSuffix): MeansAt over fixed-rate and IS stations never
+	// needs it.
 	prefix []scaled
 	suffix []scaled
 	// c[i] holds station i's capacity coefficients (nil for fixed-rate
@@ -367,16 +380,30 @@ func (l *lattice) general(i int) bool {
 }
 
 // buildPlanes groups lattice indices by total population |p|; within a
-// plane, indices appear in LatticeWalk order.
-func buildPlanes(s *solver) [][]int32 {
+// plane, indices appear in LatticeWalk order. It also returns every
+// point's neighbour mask (see lattice.mask).
+func buildPlanes(s *solver) ([][]int32, []uint32) {
 	planes := make([][]int32, s.h.Sum()+1)
+	mask := make([]uint32, s.size)
 	idx := int32(0)
 	numeric.LatticeWalk(s.h, func(p numeric.IntVector) {
 		k := p.Sum()
 		planes[k] = append(planes[k], idx)
+		var m uint32
+		bit := 0
+		for w, hw := range s.h {
+			if hw == 0 {
+				continue
+			}
+			if p[w] > 0 {
+				m |= 1 << bit
+			}
+			bit++
+		}
+		mask[idx] = m
 		idx++
 	})
-	return planes
+	return planes, mask
 }
 
 // buildLattice constructs the full cached state at the solver's box.
@@ -385,14 +412,17 @@ func buildLattice(s *solver, workers int) (*lattice, error) {
 		workers = 1
 	}
 	n := s.n
+	planes, mask := buildPlanes(s)
 	l := &lattice{
-		s:      s,
-		planes: buildPlanes(s),
-		prefix: make([]scaled, n+1),
-		suffix: make([]scaled, n+1),
-		c:      make([]scaled, n),
-		gPlus:  make([]scaled, n),
-		gMinus: make([]scaled, n),
+		s:       s,
+		workers: workers,
+		planes:  planes,
+		mask:    mask,
+		prefix:  make([]scaled, n+1),
+		suffix:  make([]scaled, n+1),
+		c:       make([]scaled, n),
+		gPlus:   make([]scaled, n),
+		gMinus:  make([]scaled, n),
 	}
 	for i := 0; i < n; i++ {
 		if l.general(i) {
@@ -407,14 +437,6 @@ func buildLattice(s *solver, workers int) (*lattice, error) {
 			return nil, fmt.Errorf("prefix after station %d: %w", i, err)
 		}
 		l.prefix[i+1] = out
-	}
-	l.suffix[n] = scaled{v: s.identity()}
-	for i := n - 1; i >= 0; i-- {
-		out, err := l.applyStation(i, l.suffix[i+1], workers)
-		if err != nil {
-			return nil, fmt.Errorf("suffix after station %d: %w", i, err)
-		}
-		l.suffix[i] = out
 	}
 	for i := 0; i < n; i++ {
 		if !l.general(i) {
@@ -458,11 +480,34 @@ func (l *lattice) ensureGMinus(i int) error {
 	if l.gMinus[i].v != nil {
 		return nil
 	}
+	if err := l.ensureSuffix(); err != nil {
+		return err
+	}
 	out, err := l.combine(l.prefix[i], l.suffix[i+1], 1)
 	if err != nil {
 		return fmt.Errorf("g- of station %d: %w", i, err)
 	}
 	l.gMinus[i] = out
+	return nil
+}
+
+// ensureSuffix materialises the suffix chain; same locking as
+// ensureGMinus. On failure the chain stays unmaterialised.
+func (l *lattice) ensureSuffix() error {
+	n := l.s.n
+	if l.suffix[0].v != nil {
+		return nil
+	}
+	suffix := make([]scaled, n+1)
+	suffix[n] = scaled{v: l.s.identity()}
+	for i := n - 1; i >= 0; i-- {
+		out, err := l.applyStation(i, suffix[i+1], l.workers)
+		if err != nil {
+			return fmt.Errorf("suffix after station %d: %w", i, err)
+		}
+		suffix[i] = out
+	}
+	l.suffix = suffix
 	return nil
 }
 
@@ -493,21 +538,33 @@ func (l *lattice) applyStation(i int, g scaled, workers int) (scaled, error) {
 // dependency out(p - e_w) lies one plane below (or outside the swept
 // region, where out must already hold valid values), so planes may be
 // split across workers with bit-identical results. factor is an exact
-// power of two reconciling input and output shifts.
+// power of two reconciling input and output shifts. The neighbour mask
+// selects the terms, visited in ascending chain order.
 func (l *lattice) fixedRateInto(i int, in, out []float64, factor float64, planes [][]int32, workers int) {
 	s := l.s
+	// Station i's demands and strides on the active chains; chains it
+	// does not visit never contribute, so their bits are masked off.
+	var rho [32]float64
+	var stride [32]int
+	var live uint32
+	k := 0
+	for w := 0; w < s.w; w++ {
+		if s.h[w] == 0 {
+			continue
+		}
+		if r := s.rho.At(i, w); r != 0 {
+			rho[k], stride[k] = r, s.strideCache[w]
+			live |= 1 << k
+		}
+		k++
+	}
 	for _, plane := range planes {
 		sweepChunks(plane, workers, func(chunk []int32) {
-			p := numeric.NewIntVector(s.w)
 			for _, idx := range chunk {
-				l.point(idx, p)
 				acc := in[idx] * factor
-				for w := 0; w < s.w; w++ {
-					if p[w] > 0 {
-						if r := s.rho.At(i, w); r != 0 {
-							acc += r * out[int(idx)-s.strideCache[w]]
-						}
-					}
+				for m := l.mask[idx] & live; m != 0; m &= m - 1 {
+					b := bits.TrailingZeros32(m)
+					acc += rho[b] * out[int(idx)-stride[b]]
 				}
 				out[idx] = acc
 			}
@@ -807,14 +864,17 @@ func fixedRateCoefficient(s *solver, i int, j numeric.IntVector) float64 {
 func (l *lattice) extendTo(s2 *solver, workers int) (*lattice, error) {
 	old := l.s
 	n := old.n
+	planes, mask := buildPlanes(s2)
 	nl := &lattice{
-		s:      s2,
-		planes: buildPlanes(s2),
-		prefix: make([]scaled, n+1),
-		suffix: make([]scaled, n+1),
-		c:      make([]scaled, n),
-		gPlus:  make([]scaled, n),
-		gMinus: make([]scaled, n),
+		s:       s2,
+		workers: workers,
+		planes:  planes,
+		mask:    mask,
+		prefix:  make([]scaled, n+1),
+		suffix:  make([]scaled, n+1),
+		c:       make([]scaled, n),
+		gPlus:   make([]scaled, n),
+		gMinus:  make([]scaled, n),
 	}
 	newPlanes := newRegionPlanes(s2, old.h)
 	for i := 0; i < n; i++ {
@@ -834,13 +894,15 @@ func (l *lattice) extendTo(s2 *solver, workers int) (*lattice, error) {
 		}
 		nl.prefix[i+1] = out
 	}
-	nl.suffix[n] = remapTo(old, s2, l.suffix[n])
-	for i := n - 1; i >= 0; i-- {
-		out := remapTo(old, s2, l.suffix[i])
-		if err := nl.extendStation(i, nl.suffix[i+1], &out, newPlanes, workers); err != nil {
-			return nil, fmt.Errorf("extending suffix after station %d: %w", i, err)
+	if l.suffix[0].v != nil {
+		nl.suffix[n] = remapTo(old, s2, l.suffix[n])
+		for i := n - 1; i >= 0; i-- {
+			out := remapTo(old, s2, l.suffix[i])
+			if err := nl.extendStation(i, nl.suffix[i+1], &out, newPlanes, workers); err != nil {
+				return nil, fmt.Errorf("extending suffix after station %d: %w", i, err)
+			}
+			nl.suffix[i] = out
 		}
-		nl.suffix[i] = out
 	}
 	for i := 0; i < n; i++ {
 		if l.gPlus[i].v != nil {
@@ -910,13 +972,20 @@ func (l *lattice) extendCapacity(i int, planes [][]int32, workers int) error {
 
 // remapTo copies a lattice array from the old box geometry into the new
 // one: values at points inside the old box land at their new mixed-radix
-// indices, new-region points start at zero.
+// indices, new-region points start at zero. The innermost chain has
+// stride 1 in both geometries, so each run along it is one copy.
 func remapTo(olds, news *solver, a scaled) scaled {
 	out := make([]float64, news.size)
+	last := olds.w - 1
+	run := olds.h[last] + 1
 	oldIdx := 0
-	numeric.LatticeWalk(olds.h, func(p numeric.IntVector) {
-		out[numeric.LatticeIndex(p, news.h)] = a.v[oldIdx]
-		oldIdx++
+	numeric.LatticeWalk(olds.h[:last], func(p numeric.IntVector) {
+		newIdx := 0
+		for w, pw := range p {
+			newIdx += pw * news.strideCache[w]
+		}
+		copy(out[newIdx:newIdx+run], a.v[oldIdx:oldIdx+run])
+		oldIdx += run
 	})
 	return scaled{v: out, shift: a.shift}
 }

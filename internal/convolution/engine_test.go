@@ -180,6 +180,75 @@ func TestEngineExtensionMatchesFresh(t *testing.T) {
 	}
 }
 
+// TestEngineGrowthBitIdentical pins the engine's determinism contract at
+// the bit level: an engine built fresh at box B and one grown to B through
+// a random sequence of boxes return MeansAt results with equal bits at
+// every point of B, serially and under plane-parallel sweeps. Exhaustive
+// scans rely on it when they build the whole box up front instead of
+// growing the lattice candidate by candidate.
+func TestEngineGrowthBitIdentical(t *testing.T) {
+	rng := rand.New(rand.NewSource(31))
+	for trial := 0; trial < 30; trial++ {
+		net, hmax := randomNetwork(rng)
+		box := hmax.Clone()
+		for w := range box {
+			box[w] += rng.Intn(3)
+		}
+		randomBelow := func() numeric.IntVector {
+			h := numeric.NewIntVector(len(box))
+			for w := range h {
+				h[w] = rng.Intn(box[w] + 1)
+			}
+			return h
+		}
+		start := randomBelow()
+		steps := make([]numeric.IntVector, 1+rng.Intn(4))
+		for k := range steps {
+			steps[k] = randomBelow()
+		}
+		for _, workers := range []int{1, 4} {
+			fresh, err := NewEngine(net, box, EngineOptions{Workers: workers})
+			if err != nil {
+				t.Fatalf("trial %d: fresh NewEngine(%v): %v", trial, box, err)
+			}
+			grown, err := NewEngine(net, start, EngineOptions{Workers: workers})
+			if err != nil {
+				t.Fatalf("trial %d: NewEngine(%v): %v", trial, start, err)
+			}
+			for _, h := range append(steps, box) {
+				if err := grown.EnsureBox(h); err != nil {
+					t.Fatalf("trial %d: EnsureBox(%v): %v", trial, h, err)
+				}
+			}
+			if !grown.Hmax().Equal(box) {
+				t.Fatalf("trial %d: grown box %v, want %v", trial, grown.Hmax(), box)
+			}
+			numeric.LatticeWalk(box, func(p numeric.IntVector) {
+				want, err := fresh.MeansAt(p)
+				if err != nil {
+					t.Fatalf("trial %d: fresh MeansAt(%v): %v", trial, p, err)
+				}
+				got, err := grown.MeansAt(p)
+				if err != nil {
+					t.Fatalf("trial %d: grown MeansAt(%v): %v", trial, p, err)
+				}
+				for w := range want.Throughput {
+					if math.Float64bits(got.Throughput[w]) != math.Float64bits(want.Throughput[w]) {
+						t.Fatalf("trial %d workers %d at %v: chain %d throughput %v grown vs %v fresh",
+							trial, workers, p, w, got.Throughput[w], want.Throughput[w])
+					}
+					for i := range net.Stations {
+						if math.Float64bits(got.QueueLen.At(i, w)) != math.Float64bits(want.QueueLen.At(i, w)) {
+							t.Fatalf("trial %d workers %d at %v: station %d chain %d queue %v grown vs %v fresh",
+								trial, workers, p, i, w, got.QueueLen.At(i, w), want.QueueLen.At(i, w))
+						}
+					}
+				}
+			})
+		}
+	}
+}
+
 // TestEngineParallelBitIdentical requires the Workers > 1 lattice sweep
 // to reproduce the serial build bit for bit, both on fresh builds and on
 // incremental extensions.

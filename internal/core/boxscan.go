@@ -78,8 +78,10 @@ func (b *BoxScanner) objective(x numeric.IntVector) (float64, error) {
 // Scan exhaustively evaluates the closed box [lo, hi] and returns the
 // minimiser under the usual tie-break (equal values resolve to the
 // earliest lattice point). The scan parallelises across Options.Workers
-// and honours Options.Context.
+// and honours Options.Context. Under ExactEngine the convolution lattice
+// is built once for the whole box before the first candidate.
 func (b *BoxScanner) Scan(lo, hi numeric.IntVector) (*pattern.Result, error) {
+	b.eng.reserveScan(hi)
 	return pattern.ExhaustiveParallelCtx(b.opts.Context, b.objective, lo, hi, 0, b.opts.Workers)
 }
 

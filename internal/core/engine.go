@@ -142,6 +142,22 @@ func NewEngine(n *netmodel.Network, opts Options) (*Engine, error) {
 	return e, nil
 }
 
+// reserveScan pre-sizes the convolution oracle for an exhaustive scan whose
+// upper corner is hi: to Options.OracleBox when set (a slab worker's
+// corner, so its later strides never grow the lattice), otherwise to hi.
+// Under BufferLimits it does nothing: lazy growth then stops at the
+// largest feasible candidate instead of the whole box.
+func (e *Engine) reserveScan(hi numeric.IntVector) {
+	if e.conv == nil || e.opts.BufferLimits != nil {
+		return
+	}
+	box := e.opts.OracleBox
+	if box == nil {
+		box = hi
+	}
+	e.conv.reserve(box)
+}
+
 // solve borrows nothing: st is caller-owned. It sets the populations and
 // runs the configured solver, warm-seeded from the last committed base
 // point when enabled. On a convergence failure the resilient fallback

@@ -125,6 +125,34 @@ func (o *convOracle) sharedMeans(pops numeric.IntVector) (*convolution.Means, er
 	return eng.MeansAt(pops)
 }
 
+// reserve sizes the shared engine to box in one build. An exhaustive scan
+// queries every point of its box, so lazy growth would end at the same
+// box after many incremental extensions; building it up front pays for
+// the lattice once. Values never depend on growth history (see solve), so
+// reserving changes no answer. A box beyond the oracle's caps is skipped,
+// and a failed build leaves the oracle as it was — not dead — so lazy
+// growth then proceeds exactly as without the reservation.
+func (o *convOracle) reserve(box numeric.IntVector) {
+	if _, err := numeric.LatticeSize(box, min(exactOracleCap, convolution.DefaultEngineBudget)); err != nil {
+		return
+	}
+	o.mu.Lock()
+	if o.dead {
+		o.mu.Unlock()
+		return
+	}
+	if o.eng == nil {
+		if eng, err := convolution.NewEngine(o.net, box, convolution.EngineOptions{Workers: o.workers, MaxBox: o.maxBox}); err == nil {
+			o.eng = eng
+		}
+		o.mu.Unlock()
+		return
+	}
+	eng := o.eng
+	o.mu.Unlock()
+	_ = eng.EnsureBox(box)
+}
+
 // privateMeans evaluates on a throwaway engine built exactly at the
 // candidate — the deterministic fallback when the shared box cannot
 // answer for reasons the candidate does not share.

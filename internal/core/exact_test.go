@@ -1,11 +1,14 @@
 package core
 
 import (
+	"errors"
 	"math"
 	"testing"
 
+	"repro/internal/convolution"
 	"repro/internal/mva"
 	"repro/internal/numeric"
+	"repro/internal/pattern"
 	"repro/internal/topo"
 )
 
@@ -208,5 +211,163 @@ func TestExactEngineOversizedCandidate(t *testing.T) {
 	}
 	if me.Power != md.Power {
 		t.Errorf("oversized candidate: engine-run power %v vs direct %v", me.Power, md.Power)
+	}
+}
+
+// oracleHmax returns the box of an engine's shared convolution lattice, or
+// nil while it is unbuilt.
+func oracleHmax(e *Engine) numeric.IntVector {
+	e.conv.mu.Lock()
+	eng := e.conv.eng
+	e.conv.mu.Unlock()
+	if eng == nil {
+		return nil
+	}
+	return eng.Hmax()
+}
+
+// TestRobustExhaustiveReservedMatchesLazy: DimensionRobust's exhaustive
+// branch builds each scenario oracle's lattice at the full box before the
+// scan. Its minimax and weighted results must equal, bit for bit, those of
+// the same scan over engines whose lattices grew candidate by candidate.
+func TestRobustExhaustiveReservedMatchesLazy(t *testing.T) {
+	n := topo.Canada4Class(10, 10, 10, 10)
+	scenarios := twoScenarioSet(0.4)
+	const maxW = 4
+	lo := numeric.IntVector{1, 1, 1, 1}
+	hi := numeric.IntVector{maxW, maxW, maxW, maxW}
+	for _, kind := range []RobustKind{RobustMinimax, RobustWeighted} {
+		opts := Options{
+			Evaluator: EvalExactMVA, ExactEngine: true, Search: ExhaustiveSearch,
+			MaxWindow: maxW, Workers: 2, Oracles: NewOracleCache(0),
+		}
+		got, err := DimensionRobust(n, scenarios, kind, opts)
+		if err != nil {
+			t.Fatalf("%v: %v", kind, err)
+		}
+
+		// The reference: the robust objective over lazily grown oracles.
+		lazy := opts
+		lazy.Oracles = NewOracleCache(0)
+		weights := robustWeights(scenarios)
+		engines := make([]*Engine, len(scenarios))
+		for i := range scenarios {
+			p, err := scenarios[i].Apply(n)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if engines[i], err = NewEngine(p, lazy); err != nil {
+				t.Fatal(err)
+			}
+		}
+		objective := func(x numeric.IntVector) (float64, error) {
+			worst, weightedP, totalW := 0.0, 0.0, 0.0
+			for i, eng := range engines {
+				v, err := eng.ObjectiveValue(x, lazy.Objective)
+				if err != nil {
+					return 0, err
+				}
+				if math.IsInf(v, 1) {
+					return v, nil
+				}
+				worst = math.Max(worst, v)
+				weightedP += weights[i] / v
+				totalW += weights[i]
+			}
+			if kind == RobustMinimax {
+				return worst, nil
+			}
+			return totalW / weightedP, nil
+		}
+		want, err := pattern.ExhaustiveParallelCtx(nil, objective, lo, hi, 0, lazy.Workers)
+		if err != nil {
+			t.Fatalf("%v lazy: %v", kind, err)
+		}
+
+		if !got.Windows.Equal(want.Best) {
+			t.Errorf("%v: reserved windows %v, lazy %v", kind, got.Windows, want.Best)
+		}
+		if math.Float64bits(got.Search.BestValue) != math.Float64bits(want.BestValue) {
+			t.Errorf("%v: reserved best value %v, lazy %v", kind, got.Search.BestValue, want.BestValue)
+		}
+		if got.Search.Evaluations != want.Evaluations {
+			t.Errorf("%v: reserved evaluations %d, lazy %d", kind, got.Search.Evaluations, want.Evaluations)
+		}
+		for _, e := range opts.Oracles.m {
+			if h := e.oracle.eng.Hmax(); !h.Equal(hi) {
+				t.Errorf("%v: reserved oracle box %v, want %v", kind, h, hi)
+			}
+		}
+	}
+}
+
+// TestSlabScanReservesCorner: a slab-shaped scan (OracleBox = the slab
+// corner, one stride per Scan) builds the oracle's lattice at the corner
+// on its first stride, and later strides never grow it.
+func TestSlabScanReservesCorner(t *testing.T) {
+	n := topo.Canada4Class(10, 10, 10, 10)
+	lo := numeric.IntVector{1, 1, 3, 1}
+	corner := numeric.IntVector{5, 5, 5, 4}
+	scanner, err := NewBoxScanner(n, Options{Evaluator: EvalExactMVA, ExactEngine: true, OracleBox: corner.Clone()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for v := lo[2]; v <= corner[2]; v++ {
+		sLo, sHi := lo.Clone(), corner.Clone()
+		sLo[2], sHi[2] = v, v
+		if _, err := scanner.Scan(sLo, sHi); err != nil {
+			t.Fatalf("stride %d: %v", v, err)
+		}
+		if h := oracleHmax(scanner.eng); !h.Equal(corner) {
+			t.Fatalf("after stride %d the oracle box is %v, want the corner %v", v, h, corner)
+		}
+	}
+}
+
+// TestEstimateOracleBytesCoversEngine keeps windimd admission
+// conservative: the estimate for a maximum window w must cover what an
+// oracle engine actually retains once its lattice spans the w box.
+func TestEstimateOracleBytesCoversEngine(t *testing.T) {
+	n := topo.Canada4Class(10, 10, 10, 10)
+	eng, err := NewEngine(n, Options{Evaluator: EvalExactMVA, ExactEngine: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, w := range []int{4, 8, 10, 16} {
+		est, err := EstimateOracleBytes(n, w)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ce, err := convolution.NewEngine(eng.ref, numeric.IntVector{1, 1, 1, 1}, convolution.EngineOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := ce.EnsureBox(numeric.IntVector{w, w, w, w}); err != nil {
+			t.Fatal(err)
+		}
+		if got := ce.MemoryBytes(); est < got {
+			t.Errorf("w=%d: estimate %d bytes < retained %d bytes", w, est, got)
+		}
+	}
+}
+
+// TestReserveFailureKeepsOracleAlive: a reservation the engine cannot
+// honour (here, a box beyond the slab bound) leaves the oracle unbuilt but
+// alive, so lazy growth serves the next candidate as before.
+func TestReserveFailureKeepsOracleAlive(t *testing.T) {
+	eng, err := NewEngine(topo.Canada4Class(10, 10, 10, 10), Options{Evaluator: EvalExactMVA})
+	if err != nil {
+		t.Fatal(err)
+	}
+	o := newConvOracle(eng.ref, 1, numeric.IntVector{3, 3, 3, 3})
+	o.reserve(numeric.IntVector{4, 4, 4, 4})
+	if o.dead || o.eng != nil {
+		t.Fatalf("failed reservation: dead=%v built=%v, want alive and unbuilt", o.dead, o.eng != nil)
+	}
+	if _, err := o.sharedMeans(numeric.IntVector{2, 2, 2, 2}); err != nil {
+		t.Fatalf("lazy growth after a failed reservation: %v", err)
+	}
+	if _, err := o.sharedMeans(numeric.IntVector{4, 4, 4, 4}); !errors.Is(err, convolution.ErrBoxBounded) {
+		t.Fatalf("query beyond the bound: err = %v, want ErrBoxBounded", err)
 	}
 }

@@ -247,6 +247,9 @@ func DimensionRobust(n *netmodel.Network, scenarios []Scenario, kind RobustKind,
 	var sres *pattern.Result
 	switch opts.Search {
 	case ExhaustiveSearch:
+		for _, eng := range engines {
+			eng.reserveScan(hi)
+		}
 		sres, err = pattern.ExhaustiveParallelCtx(opts.Context, objective, lo, hi, 0, opts.Workers)
 	default:
 		start := opts.InitialWindows

@@ -353,7 +353,10 @@ func TestAdmissionMemoryBudget(t *testing.T) {
 	}
 	cfg := quietConfig(t.TempDir())
 	cfg.MaxJobs = 1
-	cfg.MemoryBudget = est + est/2 // below two oracles' worth
+	// Below two oracles' worth, and tight enough that A's idle oracle
+	// (a pattern search retains only part of its estimate) must go to
+	// admit B.
+	cfg.MemoryBudget = est + est/8
 	s := newTestServer(t, cfg)
 
 	spec := func(id string) string {
