@@ -54,7 +54,6 @@ func run(args []string) error {
 	faults := fs.String("faults", "", "JSON fault spec file: outage/degradation/surge windows by channel and class name")
 	reps := fs.Int("reps", 1, "independent replications (each with a derived sub-seed); >1 reports replication means with 95% CIs")
 	timeout := fs.Duration("timeout", 0, "wall-clock budget for the whole batch, e.g. 30s (0 = none); on expiry the completed replications are reported")
-	scheduler := fs.String("scheduler", "calendar", "event-queue implementation: calendar, heap (outputs are bit-identical; heap is the reference)")
 	cpuprofile := fs.String("cpuprofile", "", "write a CPU profile to this file")
 	memprofile := fs.String("memprofile", "", "write a heap profile to this file at exit")
 	if err := fs.Parse(args); err != nil {
@@ -72,10 +71,6 @@ func run(args []string) error {
 		return err
 	}
 	wv, err := cliutil.ParseWindows(*windows)
-	if err != nil {
-		return err
-	}
-	sched, err := sim.ParseScheduler(*scheduler)
 	if err != nil {
 		return err
 	}
@@ -106,7 +101,6 @@ func run(args []string) error {
 	}
 	cfg := sim.Config{
 		Windows:           wv,
-		Scheduler:         sched,
 		Seed:              *seed,
 		Duration:          *duration,
 		Warmup:            *warmup,

@@ -93,21 +93,6 @@ func TestRunErrors(t *testing.T) {
 	}
 }
 
-func TestRunSchedulerFlag(t *testing.T) {
-	for _, sched := range []string{"heap", "calendar"} {
-		if err := run([]string{"-example", "canada2", "-windows", "4,4",
-			"-duration", "100", "-warmup", "10",
-			"-scheduler", sched}); err != nil {
-			t.Fatalf("-scheduler %s: %v", sched, err)
-		}
-	}
-	err := run([]string{"-example", "canada2", "-windows", "4,4",
-		"-duration", "100", "-warmup", "10", "-scheduler", "bogus"})
-	if err == nil || !strings.Contains(err.Error(), "unknown scheduler") {
-		t.Fatalf("bogus scheduler: got %v, want unknown-scheduler error", err)
-	}
-}
-
 func TestRunProfileFlags(t *testing.T) {
 	dir := t.TempDir()
 	cpu := filepath.Join(dir, "cpu.pprof")

@@ -82,7 +82,7 @@ func (b *BoxScanner) objective(x numeric.IntVector) (float64, error) {
 // is built once for the whole box before the first candidate.
 func (b *BoxScanner) Scan(lo, hi numeric.IntVector) (*pattern.Result, error) {
 	b.eng.reserveScan(hi)
-	return pattern.ExhaustiveParallelCtx(b.opts.Context, b.objective, lo, hi, 0, b.opts.Workers)
+	return pattern.Exhaustive(b.opts.Context, b.objective, lo, hi, 0, b.opts.Workers)
 }
 
 // Metrics evaluates the power metrics at windows on the scanner's engine

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"errors"
 	"math"
 	"testing"
@@ -279,7 +280,7 @@ func TestRobustExhaustiveReservedMatchesLazy(t *testing.T) {
 			}
 			return totalW / weightedP, nil
 		}
-		want, err := pattern.ExhaustiveParallelCtx(nil, objective, lo, hi, 0, lazy.Workers)
+		want, err := pattern.Exhaustive(context.Background(), objective, lo, hi, 0, lazy.Workers)
 		if err != nil {
 			t.Fatalf("%v lazy: %v", kind, err)
 		}

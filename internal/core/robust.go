@@ -250,7 +250,7 @@ func DimensionRobust(n *netmodel.Network, scenarios []Scenario, kind RobustKind,
 		for _, eng := range engines {
 			eng.reserveScan(hi)
 		}
-		sres, err = pattern.ExhaustiveParallelCtx(opts.Context, objective, lo, hi, 0, opts.Workers)
+		sres, err = pattern.Exhaustive(opts.Context, objective, lo, hi, 0, opts.Workers)
 	default:
 		start := opts.InitialWindows
 		if start == nil {

@@ -336,7 +336,8 @@ func (cp *Checkpoint) Save(path string) error {
 // directory. A crash at any instant leaves either the previous complete
 // file or the new complete one on disk — never a torn write. Shared by
 // every durable artifact in the repository that is replaced wholesale
-// (checkpoints here, the sharded search's manifests and slab results).
+// (checkpoints here, the sharded search's manifests, leases and slab
+// results, and the windimd job journal's records).
 func WriteDurable(path string, data []byte) error {
 	dir := filepath.Dir(path)
 	tmp, err := os.CreateTemp(dir, "."+filepath.Base(path)+".tmp-*")
@@ -365,16 +366,15 @@ func WriteDurable(path string, data []byte) error {
 	// The rename is durable only once the directory entry is: without the
 	// directory sync a crash immediately after the write can roll the file
 	// back to the previous version — or, for a first write, to nothing.
-	if err := SyncDir(dir); err != nil {
+	if err := syncDir(dir); err != nil {
 		return fmt.Errorf("pattern: sync durable directory: %w", err)
 	}
 	return nil
 }
 
-// SyncDir fsyncs a directory, making previously renamed or created entries
-// in it durable. Shared with the windimd job journal, which uses the same
-// temp+fsync+rename+dirsync protocol for its spool records.
-func SyncDir(dir string) error {
+// syncDir fsyncs a directory, making previously renamed or created entries
+// in it durable.
+func syncDir(dir string) error {
 	d, err := os.Open(dir)
 	if err != nil {
 		return err
@@ -480,7 +480,7 @@ func (s *searcher) resetDelta() error {
 	}
 	// Appends fsync the file, but a freshly created sidecar also needs its
 	// directory entry made durable, or a crash loses the whole file.
-	if err := SyncDir(filepath.Dir(s.ckpt.Path)); err != nil {
+	if err := syncDir(filepath.Dir(s.ckpt.Path)); err != nil {
 		f.Close()
 		return fmt.Errorf("pattern: sync delta sidecar directory: %w", err)
 	}

@@ -103,7 +103,7 @@ func TestExhaustiveCtxCancelled(t *testing.T) {
 	// wrapped ctx error and a positive evaluation count.
 	for _, workers := range []int{1, 4} {
 		ctx := &countdownCtx{remaining: 50}
-		res, err := ExhaustiveParallelCtx(ctx, ctxQuadratic, lo, hi, 0, workers)
+		res, err := Exhaustive(ctx, ctxQuadratic, lo, hi, 0, workers)
 		if err == nil || !errors.Is(err, context.Canceled) {
 			t.Fatalf("workers=%d: want context.Canceled, got %v", workers, err)
 		}
@@ -121,7 +121,7 @@ func TestExhaustiveCtxCancelled(t *testing.T) {
 
 func TestExhaustiveCtxComplete(t *testing.T) {
 	// An un-cancelled context changes nothing.
-	res, err := ExhaustiveParallelCtx(context.Background(), ctxQuadratic,
+	res, err := Exhaustive(context.Background(), ctxQuadratic,
 		numeric.IntVector{1, 1}, numeric.IntVector{10, 10}, 0, 4)
 	if err != nil {
 		t.Fatal(err)

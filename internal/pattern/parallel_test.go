@@ -1,6 +1,7 @@
 package pattern
 
 import (
+	"context"
 	"errors"
 	"sync/atomic"
 	"testing"
@@ -10,12 +11,12 @@ import (
 
 func TestExhaustiveParallelMatchesSerial(t *testing.T) {
 	obj := quadratic(4, 6)
-	serial, err := Exhaustive(obj, numeric.IntVector{1, 1}, numeric.IntVector{9, 9}, 0)
+	serial, err := Exhaustive(context.Background(), obj, numeric.IntVector{1, 1}, numeric.IntVector{9, 9}, 0, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, workers := range []int{2, 4, 16} {
-		par, err := ExhaustiveParallel(obj, numeric.IntVector{1, 1}, numeric.IntVector{9, 9}, 0, workers)
+	for _, workers := range []int{2, 3, 4, 16} {
+		par, err := Exhaustive(context.Background(), obj, numeric.IntVector{1, 1}, numeric.IntVector{9, 9}, 0, workers)
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
@@ -33,11 +34,14 @@ func TestExhaustiveParallelTieBreak(t *testing.T) {
 	// A flat objective: serial keeps the first lattice point; parallel
 	// must agree.
 	flat := func(x numeric.IntVector) (float64, error) { return 1.0, nil }
-	serial, err := Exhaustive(flat, numeric.IntVector{1, 1}, numeric.IntVector{4, 4}, 0)
+	serial, err := Exhaustive(context.Background(), flat, numeric.IntVector{1, 1}, numeric.IntVector{4, 4}, 0, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, err := ExhaustiveParallel(flat, numeric.IntVector{1, 1}, numeric.IntVector{4, 4}, 0, 3)
+	if !serial.Best.Equal(numeric.IntVector{1, 1}) {
+		t.Errorf("serial tie-break kept %v, want the first lattice point (1, 1)", serial.Best)
+	}
+	par, err := Exhaustive(context.Background(), flat, numeric.IntVector{1, 1}, numeric.IntVector{4, 4}, 0, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,7 +56,7 @@ func TestExhaustiveParallelConcurrencyActuallyHappens(t *testing.T) {
 		calls.Add(1)
 		return float64(x[0]), nil
 	}
-	res, err := ExhaustiveParallel(obj, numeric.IntVector{1}, numeric.IntVector{100}, 0, 8)
+	res, err := Exhaustive(context.Background(), obj, numeric.IntVector{1}, numeric.IntVector{100}, 0, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,31 +73,34 @@ func TestExhaustiveParallelErrors(t *testing.T) {
 		}
 		return 0, nil
 	}
-	if _, err := ExhaustiveParallel(objErr, numeric.IntVector{1}, numeric.IntVector{5}, 0, 2); !errors.Is(err, boom) {
+	ctx := context.Background()
+	if _, err := Exhaustive(ctx, objErr, numeric.IntVector{1}, numeric.IntVector{5}, 0, 2); !errors.Is(err, boom) {
 		t.Errorf("expected boom, got %v", err)
 	}
-	if _, err := ExhaustiveParallel(nil, numeric.IntVector{1}, numeric.IntVector{2}, 0, 2); err == nil {
+	if _, err := Exhaustive(ctx, nil, numeric.IntVector{1}, numeric.IntVector{2}, 0, 2); err == nil {
 		t.Error("expected nil-objective error")
 	}
-	if _, err := ExhaustiveParallel(quadratic(1), numeric.IntVector{3}, numeric.IntVector{1}, 0, 2); err == nil {
+	if _, err := Exhaustive(ctx, quadratic(1), numeric.IntVector{3}, numeric.IntVector{1}, 0, 2); err == nil {
 		t.Error("expected empty-box error")
 	}
-	if _, err := ExhaustiveParallel(quadratic(1, 1), numeric.IntVector{1, 1}, numeric.IntVector{500, 500}, 100, 2); err == nil {
+	if _, err := Exhaustive(ctx, quadratic(1, 1), numeric.IntVector{1, 1}, numeric.IntVector{500, 500}, 100, 2); err == nil {
 		t.Error("expected size-cap error")
 	}
-	// workers < 2 falls back to serial.
-	res, err := ExhaustiveParallel(quadratic(2), numeric.IntVector{1}, numeric.IntVector{5}, 0, 1)
-	if err != nil || res.Best[0] != 2 {
-		t.Errorf("serial fallback: %v, %v", res, err)
+	// workers < 1 means one worker.
+	for _, workers := range []int{0, -3} {
+		res, err := Exhaustive(ctx, quadratic(2), numeric.IntVector{1}, numeric.IntVector{5}, 0, workers)
+		if err != nil || res.Best[0] != 2 || res.Evaluations != 5 {
+			t.Errorf("workers=%d: %v, %v", workers, res, err)
+		}
 	}
 }
 
 func TestExhaustiveParallelMoreWorkersThanPoints(t *testing.T) {
-	res, err := ExhaustiveParallel(quadratic(1), numeric.IntVector{1}, numeric.IntVector{3}, 0, 64)
+	res, err := Exhaustive(context.Background(), quadratic(1), numeric.IntVector{1}, numeric.IntVector{3}, 0, 64)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Best[0] != 1 {
-		t.Errorf("Best = %v", res.Best)
+	if res.Best[0] != 1 || res.Evaluations != 3 {
+		t.Errorf("Best = %v after %d evaluations", res.Best, res.Evaluations)
 	}
 }

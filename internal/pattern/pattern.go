@@ -481,25 +481,23 @@ func Search(obj Objective, start numeric.IntVector, opts Options) (*Result, erro
 	return s.result, nil
 }
 
-// ExhaustiveParallel evaluates the objective at every point of the box
-// [lo, hi] across the given number of worker goroutines and returns the
-// minimiser (ties broken by lattice order, matching Exhaustive). The
-// objective must be safe for concurrent use — the analytic evaluators in
-// this repository are pure functions of their arguments, so WINDIM's
-// objectives qualify. workers < 2 falls back to the serial Exhaustive.
-func ExhaustiveParallel(obj Objective, lo, hi numeric.IntVector, maxPoints, workers int) (*Result, error) {
-	return ExhaustiveParallelCtx(nil, obj, lo, hi, maxPoints, workers)
-}
-
-// ExhaustiveParallelCtx is ExhaustiveParallel with cancellation: ctx (nil
-// = never cancelled) is polled while scanning, and on cancellation the
-// best point among the evaluations that completed is returned together
-// with a non-nil error wrapping ctx.Err() (or a nil Best if nothing
-// finished).
-func ExhaustiveParallelCtx(ctx context.Context, obj Objective, lo, hi numeric.IntVector, maxPoints, workers int) (*Result, error) {
-	if workers < 2 {
-		return ExhaustiveCtx(ctx, obj, lo, hi, maxPoints)
-	}
+// Exhaustive evaluates the objective at every point of the box [lo, hi]
+// and returns the minimiser, ties broken by lattice order (the earliest
+// point wins). Intended for global-optimality probes on small boxes; the
+// number of points is capped at maxPoints (<= 0 means 2^20).
+//
+// The scan splits the lattice order into one contiguous range per worker
+// (workers < 1 means 1); the result, evaluation count included, does not
+// depend on workers. With more than one worker the objective must be safe
+// for concurrent use — the analytic evaluators in this repository are
+// pure functions of their arguments, so WINDIM's objectives qualify.
+//
+// ctx (nil = never cancelled) is polled before each evaluation. On
+// cancellation the best point among the completed evaluations is
+// returned together with a non-nil error wrapping ctx.Err() (a nil Best
+// if nothing finished). An objective error stops its worker's walk and is
+// returned with a nil Result.
+func Exhaustive(ctx context.Context, obj Objective, lo, hi numeric.IntVector, maxPoints, workers int) (*Result, error) {
 	if obj == nil {
 		return nil, errors.New("pattern: nil objective")
 	}
@@ -516,146 +514,82 @@ func ExhaustiveParallelCtx(ctx context.Context, obj Objective, lo, hi numeric.In
 		}
 		span[i] = hi[i] - lo[i]
 	}
-	if _, err := numeric.LatticeSize(span, maxPoints); err != nil {
+	size, err := numeric.LatticeSize(span, maxPoints)
+	if err != nil {
 		return nil, fmt.Errorf("pattern: exhaustive box too large: %w", err)
 	}
-	var points []numeric.IntVector
-	numeric.LatticeWalk(span, func(p numeric.IntVector) {
-		x := p.Clone()
-		for i := range x {
-			x[i] += lo[i]
-		}
-		points = append(points, x)
-	})
+	workers = max(1, min(workers, size))
+	chunk := (size + workers - 1) / workers
+	workers = (size + chunk - 1) / chunk // drop workers left with an empty range
 
+	// Each worker keeps the first minimum of its range, so folding the
+	// ranges in order with a strict < reproduces the serial tie-break.
 	type partial struct {
-		best    numeric.IntVector
-		bestVal float64
-		bestIdx int
-		done    int // points actually evaluated (for cancelled scans)
-		err     error
-	}
-	if workers > len(points) {
-		workers = len(points)
+		best      numeric.IntVector
+		bestVal   float64
+		done      int // evaluations completed
+		cancelled bool
+		err       error
 	}
 	parts := make([]partial, workers)
-	var wg sync.WaitGroup
-	chunk := (len(points) + workers - 1) / workers
-	for w := 0; w < workers; w++ {
-		start := w * chunk
-		end := start + chunk
-		if end > len(points) {
-			end = len(points)
-		}
-		wg.Add(1)
-		go func(w, start, end int) {
-			defer wg.Done()
-			p := &parts[w]
-			p.bestVal = math.Inf(1)
-			p.bestIdx = -1
-			for i := start; i < end; i++ {
-				if ctx != nil && ctx.Err() != nil {
-					p.done = i - start
-					return
-				}
-				v, err := obj(points[i])
-				if err != nil {
-					p.err = err
-					return
-				}
-				if v < p.bestVal {
-					p.bestVal = v
-					p.best = points[i]
-					p.bestIdx = i
-				}
-				p.done = i - start + 1
+	scan := func(p *partial, start int) {
+		end := min(start+chunk, size)
+		p.bestVal = math.Inf(1)
+		idx := 0
+		numeric.LatticeWalkUntil(span, func(q numeric.IntVector) bool {
+			if idx < start {
+				idx++
+				return true
 			}
-		}(w, start, end)
+			if idx == end {
+				return false
+			}
+			if ctx != nil && ctx.Err() != nil {
+				p.cancelled = true
+				return false
+			}
+			x := q.Clone()
+			for i := range x {
+				x[i] += lo[i]
+			}
+			v, err := obj(x)
+			if err != nil {
+				p.err = err
+				return false
+			}
+			p.done++
+			if v < p.bestVal {
+				p.best, p.bestVal = x, v
+			}
+			idx++
+			return true
+		})
 	}
+	var wg sync.WaitGroup
+	for w := 1; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			scan(&parts[w], w*chunk)
+		}(w)
+	}
+	scan(&parts[0], 0)
 	wg.Wait()
-	res := &Result{BestValue: math.Inf(1)}
-	bestIdx := -1
-	cancelled := ctx != nil && ctx.Err() != nil
-	for w := range parts {
-		if parts[w].err != nil && !cancelled {
-			return nil, parts[w].err
-		}
-		res.Evaluations += parts[w].done
-		// Strict improvement, or equal value at an earlier lattice index,
-		// reproduces the serial tie-break.
-		if parts[w].bestIdx >= 0 &&
-			(parts[w].bestVal < res.BestValue ||
-				(parts[w].bestVal == res.BestValue && parts[w].bestIdx < bestIdx)) {
-			res.BestValue = parts[w].bestVal
-			res.Best = parts[w].best
-			bestIdx = parts[w].bestIdx
-		}
-	}
-	if cancelled {
-		if math.IsInf(res.BestValue, 1) {
-			res.Best = nil
-		}
-		return res, fmt.Errorf("pattern: exhaustive scan cancelled after %d evaluations: %w", res.Evaluations, ctx.Err())
-	}
-	return res, nil
-}
 
-// Exhaustive evaluates the objective at every point of the box [lo, hi]
-// and returns the minimiser. Intended for global-optimality probes on
-// small boxes; the number of points is capped at maxPoints (<= 0 means
-// 1e6).
-func Exhaustive(obj Objective, lo, hi numeric.IntVector, maxPoints int) (*Result, error) {
-	return ExhaustiveCtx(nil, obj, lo, hi, maxPoints)
-}
-
-// ExhaustiveCtx is Exhaustive with cancellation: ctx (nil = never
-// cancelled) is polled before each evaluation, and on cancellation the
-// best point found so far is returned together with a non-nil error
-// wrapping ctx.Err() (a nil Best if nothing was evaluated).
-func ExhaustiveCtx(ctx context.Context, obj Objective, lo, hi numeric.IntVector, maxPoints int) (*Result, error) {
-	if obj == nil {
-		return nil, errors.New("pattern: nil objective")
-	}
-	if len(lo) == 0 || len(lo) != len(hi) {
-		return nil, fmt.Errorf("pattern: box dimensions %d vs %d", len(lo), len(hi))
-	}
-	if maxPoints <= 0 {
-		maxPoints = 1 << 20
-	}
-	span := numeric.NewIntVector(len(lo))
-	for i := range lo {
-		if hi[i] < lo[i] {
-			return nil, fmt.Errorf("pattern: empty box at dimension %d", i)
-		}
-		span[i] = hi[i] - lo[i]
-	}
-	if _, err := numeric.LatticeSize(span, maxPoints); err != nil {
-		return nil, fmt.Errorf("pattern: exhaustive box too large: %w", err)
-	}
 	res := &Result{BestValue: math.Inf(1)}
-	var firstErr error
 	cancelled := false
-	numeric.LatticeWalkUntil(span, func(p numeric.IntVector) bool {
-		if ctx != nil && ctx.Err() != nil {
-			cancelled = true
-			return false
+	var firstErr error
+	for w := range parts {
+		p := &parts[w]
+		res.Evaluations += p.done
+		cancelled = cancelled || p.cancelled
+		if firstErr == nil {
+			firstErr = p.err
 		}
-		x := p.Clone()
-		for i := range x {
-			x[i] += lo[i]
+		if p.bestVal < res.BestValue {
+			res.Best, res.BestValue = p.best, p.bestVal
 		}
-		res.Evaluations++
-		v, err := obj(x)
-		if err != nil {
-			firstErr = err
-			return false
-		}
-		if v < res.BestValue {
-			res.BestValue = v
-			res.Best = x
-		}
-		return true
-	})
+	}
 	if cancelled {
 		return res, fmt.Errorf("pattern: exhaustive scan cancelled after %d evaluations: %w", res.Evaluations, ctx.Err())
 	}

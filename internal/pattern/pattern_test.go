@@ -1,6 +1,7 @@
 package pattern
 
 import (
+	"context"
 	"errors"
 	"math"
 	"testing"
@@ -208,7 +209,7 @@ func TestSearchNeverWorseProperty(t *testing.T) {
 }
 
 func TestExhaustive(t *testing.T) {
-	res, err := Exhaustive(quadratic(3, 7), numeric.IntVector{1, 1}, numeric.IntVector{10, 10}, 0)
+	res, err := Exhaustive(context.Background(), quadratic(3, 7), numeric.IntVector{1, 1}, numeric.IntVector{10, 10}, 0, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -221,21 +222,21 @@ func TestExhaustive(t *testing.T) {
 }
 
 func TestExhaustiveErrors(t *testing.T) {
-	if _, err := Exhaustive(nil, numeric.IntVector{1}, numeric.IntVector{2}, 0); err == nil {
+	if _, err := Exhaustive(context.Background(), nil, numeric.IntVector{1}, numeric.IntVector{2}, 0, 1); err == nil {
 		t.Error("expected nil-objective error")
 	}
-	if _, err := Exhaustive(quadratic(1), numeric.IntVector{1}, numeric.IntVector{1, 2}, 0); err == nil {
+	if _, err := Exhaustive(context.Background(), quadratic(1), numeric.IntVector{1}, numeric.IntVector{1, 2}, 0, 1); err == nil {
 		t.Error("expected dimension error")
 	}
-	if _, err := Exhaustive(quadratic(1), numeric.IntVector{3}, numeric.IntVector{1}, 0); err == nil {
+	if _, err := Exhaustive(context.Background(), quadratic(1), numeric.IntVector{3}, numeric.IntVector{1}, 0, 1); err == nil {
 		t.Error("expected empty-box error")
 	}
-	if _, err := Exhaustive(quadratic(1, 1), numeric.IntVector{1, 1}, numeric.IntVector{1000, 1000}, 100); err == nil {
+	if _, err := Exhaustive(context.Background(), quadratic(1, 1), numeric.IntVector{1, 1}, numeric.IntVector{1000, 1000}, 100, 1); err == nil {
 		t.Error("expected size-cap error")
 	}
 	boom := errors.New("boom")
 	objErr := func(x numeric.IntVector) (float64, error) { return 0, boom }
-	if _, err := Exhaustive(objErr, numeric.IntVector{1}, numeric.IntVector{3}, 0); !errors.Is(err, boom) {
+	if _, err := Exhaustive(context.Background(), objErr, numeric.IntVector{1}, numeric.IntVector{3}, 0, 1); !errors.Is(err, boom) {
 		t.Errorf("expected boom, got %v", err)
 	}
 }
@@ -255,7 +256,7 @@ func TestSearchMatchesExhaustiveOnBowls(t *testing.T) {
 			dx, dy := float64(x[0])-cx, float64(x[1])-cy
 			return dx*dx + 2*dy*dy, nil
 		}
-		ex, err := Exhaustive(obj, numeric.IntVector{1, 1}, numeric.IntVector{9, 9}, 0)
+		ex, err := Exhaustive(context.Background(), obj, numeric.IntVector{1, 1}, numeric.IntVector{9, 9}, 0, 1)
 		if err != nil {
 			return false
 		}

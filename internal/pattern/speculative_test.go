@@ -1,6 +1,7 @@
 package pattern
 
 import (
+	"context"
 	"errors"
 	"sync"
 	"sync/atomic"
@@ -198,7 +199,7 @@ func TestExhaustiveStopsAfterFirstError(t *testing.T) {
 		}
 		return 0, nil
 	}
-	_, err := Exhaustive(obj, numeric.IntVector{1, 1}, numeric.IntVector{10, 10}, 0)
+	_, err := Exhaustive(context.Background(), obj, numeric.IntVector{1, 1}, numeric.IntVector{10, 10}, 0, 1)
 	if !errors.Is(err, boom) {
 		t.Fatalf("expected boom, got %v", err)
 	}

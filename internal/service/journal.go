@@ -151,32 +151,8 @@ func (j *Journal) Write(r *Record) error {
 	if err != nil {
 		return fmt.Errorf("service: marshal job record: %w", err)
 	}
-	path := j.RecordPath(r.ID)
-	tmp, err := os.CreateTemp(j.dir, "."+r.ID+".tmp-*")
-	if err != nil {
-		return fmt.Errorf("service: job record temp file: %w", err)
-	}
-	tmpName := tmp.Name()
-	cleanup := func(err error) error {
-		tmp.Close()
-		os.Remove(tmpName)
-		return err
-	}
-	if _, err := tmp.Write(data); err != nil {
-		return cleanup(fmt.Errorf("service: write job record: %w", err))
-	}
-	if err := tmp.Sync(); err != nil {
-		return cleanup(fmt.Errorf("service: sync job record: %w", err))
-	}
-	if err := tmp.Close(); err != nil {
-		return cleanup(fmt.Errorf("service: close job record: %w", err))
-	}
-	if err := os.Rename(tmpName, path); err != nil {
-		os.Remove(tmpName)
-		return fmt.Errorf("service: publish job record: %w", err)
-	}
-	if err := pattern.SyncDir(j.dir); err != nil {
-		return fmt.Errorf("service: sync spool directory: %w", err)
+	if err := pattern.WriteDurable(j.RecordPath(r.ID), data); err != nil {
+		return fmt.Errorf("service: job record %s: %w", r.ID, err)
 	}
 	return nil
 }

@@ -280,9 +280,14 @@ func (h *fakeHandle) Wait() error {
 	select {
 	case <-h.done:
 	case <-h.lost:
-		select {} // the exit is unobservable behind the partition
 	}
 	h.mu.Lock()
+	if h.lostFlag {
+		// The exit is unobservable behind the partition, even when the
+		// worker finished first and the select happened to pick done.
+		h.mu.Unlock()
+		select {}
+	}
 	defer h.mu.Unlock()
 	if h.downed {
 		return &ExitError{Code: -1} // abrupt machine loss, no exit status

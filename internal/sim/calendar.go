@@ -4,11 +4,12 @@ import "math"
 
 // calendarQueue is a calendar queue (Brown 1988): events hash into
 // time-width buckets like days into a wall calendar, so push and pop are
-// amortised O(1) instead of the heap's O(log n). It is the simulator's
-// default scheduler.
+// amortised O(1) instead of a binary heap's O(log n). It is the
+// simulator's scheduler.
 //
-// Ordering contract: identical to heapQueue — strictly increasing
-// (at, seq), FIFO among simultaneous events. The contract holds by
+// Ordering contract (eventLess): strictly increasing (at, seq), FIFO
+// among simultaneous events — the order of the binary-heap reference in
+// engine_test.go, which the tests pop against. The contract holds by
 // construction: an event's virtual bucket vb = floor(at/width) is
 // monotone in at, all events sharing a vb land in the same physical
 // bucket (vb & mask) where they are kept sorted by (at, seq) descending
@@ -299,6 +300,8 @@ func (q *calendarQueue) estimateWidth() float64 {
 	return w
 }
 
+// reset discards all events and restarts the seq counter, retaining
+// internal capacity so a reused runner schedules without allocating.
 func (q *calendarQueue) reset() {
 	for i := range q.buckets {
 		q.buckets[i] = q.buckets[i][:0]

@@ -33,100 +33,13 @@ const (
 
 // eventLess is the scheduler ordering contract: events are served in
 // strictly increasing (at, seq) order. seq is assigned by the queue at
-// push time, so simultaneous events pop in FIFO push order. Every
-// eventQueue implementation must realise exactly this total order — the
-// property tests in scheduler_test.go compare pop sequences across
-// implementations the way denseref_test.go guards the sparse AMVA.
+// push time, so simultaneous events pop in FIFO push order. The calendar
+// queue realises exactly this total order; the tests in engine_test.go
+// and scheduler_test.go check its pop sequences against a binary-heap
+// reference the way denseref_test.go guards the sparse AMVA.
 func eventLess(a, b *event) bool {
 	if a.at != b.at {
 		return a.at < b.at
 	}
 	return a.seq < b.seq
-}
-
-// eventQueue is the scheduler seam. Two interchangeable implementations
-// exist: heapQueue, the preserved binary min-heap reference, and
-// calendarQueue, the bucketed O(1)-amortised default. Both must produce
-// identical pop sequences for identical push sequences; the simulator's
-// outputs are therefore bit-identical under either (scheduler_test.go).
-type eventQueue interface {
-	push(at float64, kind eventKind, class, channel int)
-	pushMsg(at float64, kind eventKind, class, channel int, msg int32)
-	pop() event
-	empty() bool
-	// reset discards all events and restarts the seq counter, retaining
-	// internal capacity so a reused runner schedules without allocating.
-	reset()
-}
-
-// newEventQueue builds the scheduler cfg selects.
-func newEventQueue(kind Scheduler) eventQueue {
-	if kind == SchedulerHeap {
-		return &heapQueue{}
-	}
-	return newCalendarQueue()
-}
-
-// heapQueue is a binary min-heap ordered by (at, seq). A hand-rolled heap
-// (rather than container/heap) keeps the hot push/pop path free of
-// interface conversions. It is retained as the reference implementation
-// behind -scheduler heap: simple enough to trust by inspection, and the
-// oracle the calendar queue is property-tested against.
-type heapQueue struct {
-	items []event
-	seq   uint64
-}
-
-func (q *heapQueue) push(at float64, kind eventKind, class, channel int) {
-	q.pushMsg(at, kind, class, channel, msgNone)
-}
-
-func (q *heapQueue) pushMsg(at float64, kind eventKind, class, channel int, msg int32) {
-	q.seq++
-	e := event{at: at, seq: q.seq, kind: kind, class: int16(class), channel: int32(channel), msg: msg}
-	q.items = append(q.items, e)
-	i := len(q.items) - 1
-	for i > 0 {
-		parent := (i - 1) / 2
-		if !q.less(i, parent) {
-			break
-		}
-		q.items[i], q.items[parent] = q.items[parent], q.items[i]
-		i = parent
-	}
-}
-
-func (q *heapQueue) less(i, j int) bool {
-	return eventLess(&q.items[i], &q.items[j])
-}
-
-func (q *heapQueue) empty() bool { return len(q.items) == 0 }
-
-func (q *heapQueue) reset() {
-	q.items = q.items[:0]
-	q.seq = 0
-}
-
-func (q *heapQueue) pop() event {
-	top := q.items[0]
-	last := len(q.items) - 1
-	q.items[0] = q.items[last]
-	q.items = q.items[:last]
-	i := 0
-	for {
-		l, r := 2*i+1, 2*i+2
-		smallest := i
-		if l < len(q.items) && q.less(l, smallest) {
-			smallest = l
-		}
-		if r < len(q.items) && q.less(r, smallest) {
-			smallest = r
-		}
-		if smallest == i {
-			break
-		}
-		q.items[i], q.items[smallest] = q.items[smallest], q.items[i]
-		i = smallest
-	}
-	return top
 }

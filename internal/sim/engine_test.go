@@ -5,8 +5,81 @@ import (
 	"testing/quick"
 )
 
-// eachQueue runs a subtest against every eventQueue implementation; the
-// basic ordering properties below must hold for all of them.
+// eventQueue is the queue surface the ordering tests drive, so each test
+// runs against the calendar queue and the heap reference alike.
+type eventQueue interface {
+	push(at float64, kind eventKind, class, channel int)
+	pushMsg(at float64, kind eventKind, class, channel int, msg int32)
+	pop() event
+	empty() bool
+	reset()
+}
+
+// heapQueue is a binary min-heap ordered by (at, seq): the reference the
+// calendar queue is checked against. It is simple enough to trust by
+// inspection, and it assigns seq the same way, so identical push streams
+// must yield identical pop streams, seq included.
+type heapQueue struct {
+	items []event
+	seq   uint64
+}
+
+func (q *heapQueue) push(at float64, kind eventKind, class, channel int) {
+	q.pushMsg(at, kind, class, channel, msgNone)
+}
+
+func (q *heapQueue) pushMsg(at float64, kind eventKind, class, channel int, msg int32) {
+	q.seq++
+	e := event{at: at, seq: q.seq, kind: kind, class: int16(class), channel: int32(channel), msg: msg}
+	q.items = append(q.items, e)
+	i := len(q.items) - 1
+	for i > 0 {
+		parent := (i - 1) / 2
+		if !q.less(i, parent) {
+			break
+		}
+		q.items[i], q.items[parent] = q.items[parent], q.items[i]
+		i = parent
+	}
+}
+
+func (q *heapQueue) less(i, j int) bool {
+	return eventLess(&q.items[i], &q.items[j])
+}
+
+func (q *heapQueue) empty() bool { return len(q.items) == 0 }
+
+func (q *heapQueue) reset() {
+	q.items = q.items[:0]
+	q.seq = 0
+}
+
+func (q *heapQueue) pop() event {
+	top := q.items[0]
+	last := len(q.items) - 1
+	q.items[0] = q.items[last]
+	q.items = q.items[:last]
+	i := 0
+	for {
+		l, r := 2*i+1, 2*i+2
+		smallest := i
+		if l < len(q.items) && q.less(l, smallest) {
+			smallest = l
+		}
+		if r < len(q.items) && q.less(r, smallest) {
+			smallest = r
+		}
+		if smallest == i {
+			break
+		}
+		q.items[i], q.items[smallest] = q.items[smallest], q.items[i]
+		i = smallest
+	}
+	return top
+}
+
+// eachQueue runs a subtest against the calendar queue and the heap
+// reference; the basic ordering properties below must hold for both.
 func eachQueue(t *testing.T, body func(t *testing.T, q eventQueue)) {
 	t.Helper()
 	impls := []struct {

@@ -3,6 +3,7 @@ package sim
 import (
 	"math"
 	"math/rand"
+	"sort"
 	"testing"
 
 	"repro/internal/netmodel"
@@ -143,8 +144,7 @@ func TestSchedulerPopSequenceAdversarial(t *testing.T) {
 }
 
 // sameResult asserts two Results are bit-identical: every float compared
-// by Float64bits, every count exactly. This is the scheduler contract —
-// the queue implementation must be invisible in every output.
+// by Float64bits, every count exactly.
 func sameResult(t *testing.T, label string, a, b *Result) {
 	t.Helper()
 	f64 := func(what string, x, y float64) {
@@ -200,8 +200,8 @@ func sameResult(t *testing.T, label string, a, b *Result) {
 // schedulerMatrix is the bit-identity workload set: each entry
 // deliberately lights up a different subsystem (source models, length
 // distributions, bursty modulation, finite buffers, isarithmic permits,
-// propagation delay, background traffic, faults), so the fused calendar
-// run loop in state.run is exercised through every event kind.
+// propagation delay, background traffic, faults), so the scheduler is
+// traced through every event kind.
 func schedulerMatrix(t *testing.T) []struct {
 	name string
 	n    *netmodel.Network
@@ -278,25 +278,59 @@ func schedulerMatrix(t *testing.T) []struct {
 	}
 }
 
-// TestSchedulerBitIdentity runs every matrix workload under both
-// schedulers and several seeds and demands bit-identical Results.
+// TestSchedulerBitIdentity steps every matrix workload event by event
+// and checks each calendar pop against the heap reference fed the same
+// pushes: before every pop, the heap receives the calendar events pushed
+// since the previous pop, in seq order. Both queues number pushes alike,
+// so the pops must be identical, (at, seq) included. The stepped run must
+// then reproduce Run bit for bit.
 func TestSchedulerBitIdentity(t *testing.T) {
 	for _, tc := range schedulerMatrix(t) {
 		t.Run(tc.name, func(t *testing.T) {
 			for _, seed := range []uint64{1, 7, 12345} {
-				heapCfg, calCfg := tc.cfg, tc.cfg
-				heapCfg.Seed, calCfg.Seed = seed, seed
-				heapCfg.Scheduler = SchedulerHeap
-				calCfg.Scheduler = SchedulerCalendar
-				hr, err := Run(tc.n, heapCfg)
+				cfg := tc.cfg
+				cfg.Seed = seed
+				ru, err := NewRunner(tc.n, cfg)
 				if err != nil {
-					t.Fatalf("seed %d heap: %v", seed, err)
+					t.Fatal(err)
 				}
-				cr, err := Run(tc.n, calCfg)
+				s := ru.st
+				s.prime()
+				h := &heapQueue{}
+				var fresh []event
+				for pops := 0; ; pops++ {
+					fresh = fresh[:0]
+					for _, b := range s.events.buckets {
+						for _, e := range b {
+							if e.seq > h.seq {
+								fresh = append(fresh, e)
+							}
+						}
+					}
+					sort.Slice(fresh, func(i, j int) bool { return fresh[i].seq < fresh[j].seq })
+					for _, e := range fresh {
+						h.pushMsg(e.at, e.kind, int(e.class), int(e.channel), e.msg)
+					}
+					if h.seq != s.events.seq || len(h.items) != s.events.size {
+						t.Fatalf("seed %d pop %d: heap holds %d events up to seq %d, calendar %d up to seq %d",
+							seed, pops, len(h.items), h.seq, s.events.size, s.events.seq)
+					}
+					if s.events.size == 0 {
+						break
+					}
+					ce, he := s.events.pop(), h.pop()
+					if ce != he {
+						t.Fatalf("seed %d pop %d: calendar %+v, heap %+v", seed, pops, ce, he)
+					}
+					if !s.dispatch(ce) {
+						break
+					}
+				}
+				want, err := Run(tc.n, cfg)
 				if err != nil {
-					t.Fatalf("seed %d calendar: %v", seed, err)
+					t.Fatalf("seed %d: %v", seed, err)
 				}
-				sameResult(t, tc.name, hr, cr)
+				sameResult(t, tc.name, s.finishRun(), want)
 			}
 		})
 	}

@@ -57,43 +57,6 @@ func (s SourceModel) String() string {
 	}
 }
 
-// Scheduler selects the event-queue implementation. Both realise the
-// identical (at, seq) total order, so every simulator output is
-// bit-identical under either; the choice only affects speed.
-type Scheduler int
-
-const (
-	// SchedulerCalendar is the default: a calendar queue with
-	// O(1)-amortised push/pop (calendar.go).
-	SchedulerCalendar Scheduler = iota
-	// SchedulerHeap is the preserved binary min-heap reference
-	// implementation (engine.go).
-	SchedulerHeap
-)
-
-func (sc Scheduler) String() string {
-	switch sc {
-	case SchedulerCalendar:
-		return "calendar"
-	case SchedulerHeap:
-		return "heap"
-	default:
-		return fmt.Sprintf("Scheduler(%d)", int(sc))
-	}
-}
-
-// ParseScheduler maps the -scheduler flag spelling to a Scheduler.
-func ParseScheduler(name string) (Scheduler, error) {
-	switch name {
-	case "calendar", "":
-		return SchedulerCalendar, nil
-	case "heap":
-		return SchedulerHeap, nil
-	default:
-		return 0, fmt.Errorf("sim: unknown scheduler %q (want calendar or heap)", name)
-	}
-}
-
 // Config parameterises a simulation run.
 type Config struct {
 	// Windows overrides the classes' Window fields; nil uses them.
@@ -148,11 +111,6 @@ type Config struct {
 	// simulated times (see FaultSpec). Faults are deterministic: the
 	// same spec and seed reproduce the same run.
 	Faults *FaultSpec
-	// Scheduler selects the event-queue implementation (default
-	// SchedulerCalendar). Outputs are bit-identical under either; the
-	// heap is kept as the property-test oracle and a -scheduler heap
-	// escape hatch.
-	Scheduler Scheduler
 }
 
 // ClassStats reports one class's measurements.
@@ -293,9 +251,6 @@ func prepare(n *netmodel.Network, cfg Config) (Config, numeric.IntVector, error)
 		if err := cfg.Faults.validate(len(n.Channels), len(n.Classes)); err != nil {
 			return cfg, nil, err
 		}
-	}
-	if cfg.Scheduler != SchedulerCalendar && cfg.Scheduler != SchedulerHeap {
-		return cfg, nil, fmt.Errorf("sim: unknown Scheduler %d", int(cfg.Scheduler))
 	}
 	return cfg, windows, nil
 }

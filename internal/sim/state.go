@@ -119,13 +119,7 @@ type state struct {
 	windows numeric.IntVector // resolved per-class windows
 
 	clock  float64
-	events eventQueue
-	// calQ aliases events when the calendar scheduler is selected. The
-	// hot path branches on it to call the concrete type directly —
-	// interface dispatch on three calls per event is measurable at this
-	// loop's throughput. The heap keeps the interface path; it is the
-	// reference implementation, not the fast one.
-	calQ *calendarQueue
+	events *calendarQueue
 
 	classes  []classState
 	channels []channelState
@@ -206,7 +200,7 @@ func newState(n *netmodel.Network, cfg Config, windows numeric.IntVector) (*stat
 		net:            n,
 		cfg:            cfg,
 		windows:        windows,
-		events:         newEventQueue(cfg.Scheduler),
+		events:         newCalendarQueue(),
 		classes:        make([]classState, len(n.Classes)),
 		channels:       make([]channelState, len(n.Channels)),
 		nodeCount:      make([]int, len(n.Nodes)),
@@ -239,7 +233,6 @@ func newState(n *netmodel.Network, cfg Config, windows numeric.IntVector) (*stat
 		s.burstOnMean = cfg.BurstOn
 		s.burstOffMean = cfg.BurstOn * (cfg.Burstiness - 1)
 	}
-	s.calQ, _ = s.events.(*calendarQueue)
 	if cfg.NodeBuffers != nil {
 		copy(s.nodeLimit, cfg.NodeBuffers)
 	}
@@ -369,81 +362,9 @@ func (s *state) freeMessage(mi int32) {
 	s.freeMsgs = append(s.freeMsgs, mi)
 }
 
-// qPush, qPushMsg, qPop and qEmpty dispatch to the scheduler, calling
-// the calendar queue concretely when it is selected (see the calQ field).
-func (s *state) qPush(at float64, kind eventKind, class, channel int) {
-	if q := s.calQ; q != nil {
-		q.pushMsg(at, kind, class, channel, msgNone)
-		return
-	}
-	s.events.push(at, kind, class, channel)
-}
-
-func (s *state) qPushMsg(at float64, kind eventKind, class, channel int, msg int32) {
-	if q := s.calQ; q != nil {
-		q.pushMsg(at, kind, class, channel, msg)
-		return
-	}
-	s.events.pushMsg(at, kind, class, channel, msg)
-}
-
-func (s *state) qPop() event {
-	if q := s.calQ; q != nil {
-		return q.pop()
-	}
-	return s.events.pop()
-}
-
-func (s *state) qEmpty() bool {
-	if q := s.calQ; q != nil {
-		return q.size == 0
-	}
-	return s.events.empty()
-}
-
 func (s *state) run() (*Result, error) {
 	s.prime()
-	// The calendar loop pops from the concrete queue and dispatches
-	// inline: routing each event through qPop/dispatch costs two wrapper
-	// calls and two extra 32-byte event copies, which is real money at
-	// this loop's frequency. The switch below mirrors dispatch — the two
-	// must stay in lockstep, which the heap/calendar bit-identity tests
-	// enforce (the heap path runs the generic spelling).
-	if q := s.calQ; q != nil {
-		duration, warmup := s.cfg.Duration, s.cfg.Warmup
-		for q.size != 0 {
-			e := q.pop()
-			if e.at > duration {
-				break
-			}
-			if !s.warmupDone && e.at >= warmup {
-				s.stats.reset(warmup, s)
-				s.warmupDone = true
-			}
-			if e.at > s.clock {
-				s.clock = e.at
-			}
-			s.eventCount++
-			switch e.kind {
-			case evArrival:
-				s.handleArrival(int(e.class), int(e.channel))
-			case evCompletion:
-				s.handleCompletion(int(e.channel))
-			case evAck:
-				s.creditReturn(int(e.class))
-			case evBackground:
-				s.handleBackground(int(e.channel))
-			case evPropArrive:
-				s.handlePropArrive(e.msg)
-			case evBurstFlip:
-				s.handleBurstFlip(int(e.class))
-			case evFault:
-				s.handleFault(int(e.channel))
-			}
-		}
-	} else {
-		for !s.events.empty() && s.dispatch(s.events.pop()) {
-		}
+	for s.events.size != 0 && s.dispatch(s.events.pop()) {
 	}
 	return s.finishRun(), nil
 }
@@ -453,28 +374,25 @@ func (s *state) run() (*Result, error) {
 func (s *state) prime() {
 	for r := range s.classes {
 		if s.cfg.Burstiness > 1 {
-			s.qPush(s.clock+s.classes[r].bursts.ExpMean(s.burstOnMean), evBurstFlip, r, 0)
+			s.events.push(s.clock+s.classes[r].bursts.ExpMean(s.burstOnMean), evBurstFlip, r, 0)
 		}
 		s.scheduleArrival(r)
 	}
 	for l := range s.bgRate {
 		if s.bgRate[l] > 0 {
-			s.qPush(s.clock+s.bgStreams[l].ExpMean(s.bgMean[l]), evBackground, -1, l)
+			s.events.push(s.clock+s.bgStreams[l].ExpMean(s.bgMean[l]), evBackground, -1, l)
 		}
 	}
 	for i := range s.faults {
-		s.qPush(s.faults[i].at, evFault, -1, i)
+		s.events.push(s.faults[i].at, evFault, -1, i)
 	}
 }
 
 // step executes one event; false means the run is over (horizon reached
-// or no events left). The run loop inlines this pop-then-dispatch pair
-// per scheduler; step remains as the single-step form tests drive.
+// or no events left). It is run's loop body, kept as the single-step form
+// tests drive.
 func (s *state) step() bool {
-	if s.qEmpty() {
-		return false
-	}
-	return s.dispatch(s.qPop())
+	return s.events.size != 0 && s.dispatch(s.events.pop())
 }
 
 // dispatch executes one popped event; false means the horizon is reached
@@ -544,7 +462,7 @@ func (s *state) scheduleArrival(r int) {
 		mean = s.arrMeanBurst[r] // peak rate during on-periods
 	}
 	cs.arrivalPending = true
-	s.qPush(s.clock+cs.arrivals.ExpMean(mean), evArrival, r, cs.arrivalEpoch)
+	s.events.push(s.clock+cs.arrivals.ExpMean(mean), evArrival, r, cs.arrivalEpoch)
 }
 
 // handleBurstFlip toggles class r's on-off source state and books the
@@ -562,7 +480,7 @@ func (s *state) handleBurstFlip(r int) {
 	} else {
 		mean = s.burstOffMean
 	}
-	s.qPush(s.clock+cs.bursts.ExpMean(mean), evBurstFlip, r, 0)
+	s.events.push(s.clock+cs.bursts.ExpMean(mean), evBurstFlip, r, 0)
 }
 
 // handleArrival processes one exogenous message of class r. epoch guards
@@ -673,7 +591,7 @@ func (s *state) startService(l int) {
 	}
 	s.stats.touchChan(s, l)
 	ch.busy = true
-	s.qPush(s.clock+bits*s.svcInv[l], evCompletion, -1, l)
+	s.events.push(s.clock+bits*s.svcInv[l], evCompletion, -1, l)
 }
 
 // handleBackground injects one uncontrolled cross-traffic message on
@@ -688,7 +606,7 @@ func (s *state) handleBackground(l int) {
 		m.length = s.sampleLength(s.bgStreams[l], s.bgMeanLen[l])
 	}
 	s.enqueue(mi, l)
-	s.qPush(s.clock+s.bgStreams[l].ExpMean(s.bgMean[l]), evBackground, -1, l)
+	s.events.push(s.clock+s.bgStreams[l].ExpMean(s.bgMean[l]), evBackground, -1, l)
 }
 
 // handleCompletion finishes the transmission in progress on channel l.
@@ -714,7 +632,7 @@ func (s *state) handleCompletion(l int) {
 		s.popHead(l)
 		s.releaseNode(int(m.node))
 		m.node = int32(dest)
-		s.qPushMsg(s.clock+pd, evPropArrive, int(m.class), l, mi)
+		s.events.pushMsg(s.clock+pd, evPropArrive, int(m.class), l, mi)
 		s.startNextIfAny(l)
 		return
 	}
@@ -803,7 +721,7 @@ func (s *state) deliver(mi int32) {
 		s.retryAdmissions(-1)
 	}
 	if ack := s.ackDelay[r]; ack > 0 && s.classes[r].window > 0 {
-		s.qPush(s.clock+ack, evAck, r, -1)
+		s.events.push(s.clock+ack, evAck, r, -1)
 		return
 	}
 	s.creditReturn(r)
