@@ -31,7 +31,7 @@
 // spool resumes: finished slabs are recovered from their durable
 // results without relaunch, slabs whose lease is still live are adopted
 // rather than double-launched, and interrupted slabs resume from their
-// delta checkpoints. SIGTERM drains — every reachable worker
+// checkpoint logs. SIGTERM drains — every reachable worker
 // checkpoints its slab before exit — so the next run picks up where
 // this one stopped.
 //

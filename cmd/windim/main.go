@@ -33,13 +33,13 @@
 // pruned); -degrade-after and -min-scenarios control graceful scenario
 // degradation during the robust search.
 //
-// Long searches can be made durable: -checkpoint writes the search state
-// atomically on every commit (cadence -checkpoint-every), and -resume
-// restarts from such a file, converging to the bit-identical result of
-// an uninterrupted run. -checkpoint-full-every N keeps a per-commit
-// cadence cheap by appending delta records to <checkpoint>.delta between
-// full snapshots. -eval-timeout arms a per-candidate watchdog that
-// reroutes stalled fixed points into the solver fallback chain.
+// Long searches can be made durable: -checkpoint keeps the search state in
+// one append-only file — a snapshot, then one fsynced record of the newly
+// learned memo entries per commit (cadence -checkpoint-every) — and
+// -resume restarts from such a file, converging to the bit-identical
+// result of an uninterrupted run. -eval-timeout arms a per-candidate
+// watchdog that reroutes stalled fixed points into the solver fallback
+// chain.
 //
 // -exact-engine accelerates exact evaluations (-evaluator exact, and the
 // exact tier of the solver fallback chain) by serving every candidate
@@ -104,7 +104,6 @@ func run(args []string) error {
 	minScenarios := fs.Int("min-scenarios", 0, "abort if scenario degradation would leave fewer active scenarios than this (0 = 1)")
 	checkpoint := fs.String("checkpoint", "", "write durable search checkpoints to this file (pattern search only)")
 	checkpointEvery := fs.Int("checkpoint-every", 0, "commit cadence of checkpoint writes (0 = every commit)")
-	checkpointFullEvery := fs.Int("checkpoint-full-every", 0, "write a full snapshot only every Nth durable write, appending cheap delta records to <checkpoint>.delta in between (<= 1 = always full)")
 	resume := fs.String("resume", "", "resume the search from a checkpoint file written by a previous run with the same model and options")
 	exactEngine := fs.Bool("exact-engine", false, "serve exact evaluations from one shared incremental convolution lattice per search instead of a fresh recursion per candidate (exact-evaluator runs and the exact fallback tier)")
 	evalTimeout := fs.Duration("eval-timeout", 0, "per-candidate watchdog: a solve exceeding max(this, 8x the rolling mean solve time) is rerouted into the fallback chain (0 = off)")
@@ -141,17 +140,16 @@ func run(args []string) error {
 		n = reduced
 	}
 	opts := core.Options{
-		MaxWindow:           *maxWindow,
-		Workers:             *workers,
-		DisableFallback:     *noFallback,
-		EvalTimeout:         *evalTimeout,
-		CheckpointPath:      *checkpoint,
-		CheckpointEvery:     *checkpointEvery,
-		CheckpointFullEvery: *checkpointFullEvery,
-		ResumePath:          *resume,
-		ExactEngine:         *exactEngine,
-		DegradeAfter:        *degradeAfter,
-		MinScenarios:        *minScenarios,
+		MaxWindow:       *maxWindow,
+		Workers:         *workers,
+		DisableFallback: *noFallback,
+		EvalTimeout:     *evalTimeout,
+		CheckpointPath:  *checkpoint,
+		CheckpointEvery: *checkpointEvery,
+		ResumePath:      *resume,
+		ExactEngine:     *exactEngine,
+		DegradeAfter:    *degradeAfter,
+		MinScenarios:    *minScenarios,
 	}
 	// Ctrl-C (and a service manager's SIGTERM) cancels the search instead
 	// of killing the process: the best-so-far windows are reported and any

@@ -92,50 +92,69 @@ func TestDimensionCheckpointResume(t *testing.T) {
 	}
 }
 
-// TestDimensionResumeRejectsMismatch: a checkpoint written for different
-// options or a different network must not seed a resume.
-// TestDimensionCheckpointFullEvery: the delta cadence plumbs through to
-// the pattern layer — the sidecar appears during the run, the resumed
-// search is bit-identical, and a finished run retires the sidecar.
-// (Cancellation writes a final FULL snapshot, so crash-resume through the
-// snapshot+delta merge itself is covered at the pattern layer, where a
-// hard objective failure can be injected.)
+// TestDimensionCheckpointFullEvery: the single-log checkpoint plumbs
+// through core. A per-commit run keeps exactly one file in its directory
+// at every commit (no sidecar), growing by appends; a run that resumes
+// from and checkpoints to that same file finishes bit-identical to the
+// uninterrupted run and leaves the one file, marked done. (Cancellation
+// always writes a final record, so crash-resume through a torn tail is
+// covered at the pattern layer, where a hard objective failure can be
+// injected.)
 func TestDimensionCheckpointFullEvery(t *testing.T) {
 	n := topo.Canada2Class(20, 20)
 	far := func() Options {
 		return Options{
-			InitialWindows:      numeric.IntVector{16, 16},
-			InitialStep:         numeric.IntVector{4, 4},
-			CheckpointFullEvery: 4,
+			InitialWindows: numeric.IntVector{16, 16},
+			InitialStep:    numeric.IntVector{4, 4},
 		}
 	}
-	ref, err := Dimension(n, Options{
-		InitialWindows: numeric.IntVector{16, 16},
-		InitialStep:    numeric.IntVector{4, 4},
-	})
+	ref, err := Dimension(n, far())
 	if err != nil {
 		t.Fatal(err)
 	}
-	path := filepath.Join(t.TempDir(), "windim.ckpt")
+	dir := t.TempDir()
+	path := filepath.Join(dir, "windim.ckpt")
+	onlyCheckpoint := func(when string) {
+		t.Helper()
+		entries, err := os.ReadDir(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(entries) != 1 || entries[0].Name() != "windim.ckpt" {
+			names := make([]string, len(entries))
+			for i, e := range entries {
+				names[i] = e.Name()
+			}
+			t.Errorf("%s: directory holds %v, want only windim.ckpt", when, names)
+		}
+	}
 	opts := far()
 	opts.CheckpointPath = path
-	sidecarSeen := false
-	cancelAfterCommits(2, &opts)
+	cancelAfterCommits(3, &opts)
 	inner := opts.OnCommit
+	commits, lastSize := 0, int64(0)
 	opts.OnCommit = func(x numeric.IntVector, fx float64) {
-		if _, err := os.Stat(path + ".delta"); err == nil {
-			sidecarSeen = true
+		// OnCommit runs before the commit's own write: from the second
+		// commit on, the file holds everything up to the previous one.
+		if commits++; commits > 1 {
+			onlyCheckpoint("mid-run")
+			if fi, err := os.Stat(path); err == nil {
+				if fi.Size() <= lastSize {
+					t.Errorf("commit %d: checkpoint did not grow (%d -> %d bytes)", commits, lastSize, fi.Size())
+				}
+				lastSize = fi.Size()
+			}
 		}
 		inner(x, fx)
 	}
 	if _, err := Dimension(n, opts); err == nil {
 		t.Fatal("cancelled run returned nil error")
 	}
-	if !sidecarSeen {
-		t.Error("delta sidecar never appeared during the run")
+	if commits < 3 || lastSize == 0 {
+		t.Fatalf("run committed %d times, last seen checkpoint %d bytes; the checks above need 3 commits", commits, lastSize)
 	}
 	ropts := far()
-	ropts.CheckpointPath = path // keep checkpointing: the finished run must retire the sidecar
+	ropts.CheckpointPath = path
 	ropts.ResumePath = path
 	resumed, err := Dimension(n, ropts)
 	if err != nil {
@@ -146,11 +165,18 @@ func TestDimensionCheckpointFullEvery(t *testing.T) {
 		t.Errorf("resumed windows %v (%v), uninterrupted %v (%v)",
 			resumed.Windows, resumed.Search.BestValue, ref.Windows, ref.Search.BestValue)
 	}
-	if _, err := os.Stat(path + ".delta"); !os.IsNotExist(err) {
-		t.Errorf("sidecar survived normal termination (stat err %v)", err)
+	onlyCheckpoint("after the resumed run")
+	ck, err := pattern.LoadCheckpoint(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !ck.Done || !numeric.IntVector(ck.Best).Equal(ref.Windows) {
+		t.Errorf("final checkpoint done=%v best=%v, want done %v", ck.Done, ck.Best, ref.Windows)
 	}
 }
 
+// TestDimensionResumeRejectsMismatch: a checkpoint written for different
+// options or a different network must not seed a resume.
 func TestDimensionResumeRejectsMismatch(t *testing.T) {
 	n := topo.Canada2Class(20, 20)
 	path := filepath.Join(t.TempDir(), "windim.ckpt")

@@ -1,31 +1,28 @@
 package pattern
 
 import (
+	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"maps"
 	"math"
 	"os"
-	"path/filepath"
 	"strconv"
 	"strings"
+
+	"repro/internal/durable"
 )
 
 // CheckpointVersion is the format version this package writes; Load
-// rejects files written by a different (future) version rather than
-// guessing at their semantics.
-const CheckpointVersion = 1
+// rejects files written by a different version rather than guessing at
+// their semantics. Version 2 is the single-file log: a snapshot line
+// followed by appended records.
+const CheckpointVersion = 2
 
 // checkpointKind tags the file so other tools (and humans) can tell what
 // produced it.
 const checkpointKind = "pattern-search"
-
-// deltaKind tags the append-only sidecar holding incremental records
-// between full snapshots; deltaSuffix is appended to CheckpointOptions.Path
-// to name it.
-const (
-	deltaKind   = "pattern-search-delta"
-	deltaSuffix = ".delta"
-)
 
 // JSONFloat is a float64 whose JSON form round-trips bit-exactly,
 // including the non-finite values encoding/json rejects: finite values use
@@ -76,8 +73,11 @@ func (f *JSONFloat) UnmarshalJSON(b []byte) error {
 }
 
 // Checkpoint is the durable state of a pattern search: a versioned,
-// self-describing snapshot written atomically on a commit cadence and fed
-// back through Options.Resume after a crash, kill or deadline.
+// self-describing snapshot fed back through Options.Resume after a crash,
+// kill or deadline. On disk it is one append-only log (internal/durable):
+// the first line is a Checkpoint, each later line a deltaRecord of what one
+// durable write added; ParseCheckpoint folds the log back into one
+// Checkpoint.
 //
 // The load-bearing field is Visited — the full memo cache (FLOC/FSTR table)
 // at snapshot time. Resume does not fast-forward to Best: it preloads the
@@ -125,50 +125,30 @@ type Checkpoint struct {
 
 // CheckpointOptions configures durable checkpointing of a Search run.
 type CheckpointOptions struct {
-	// Path is the checkpoint file; writes go to a temp file in the same
-	// directory followed by an atomic rename, so a reader (or a resumed
-	// run) never observes a partially written checkpoint.
+	// Path is the checkpoint file. The first durable write publishes a
+	// snapshot there atomically (temp file + rename) and later writes
+	// append to it, fsynced one line at a time, so a reader (or a resumed
+	// run) never observes worse than a torn final record, which the loader
+	// drops.
 	Path string
-	// Every is the commit cadence: a snapshot is written every Every-th
+	// Every is the commit cadence: a durable write happens every Every-th
 	// committed base point (<= 0 means every commit). Termination and
-	// cancellation always write a final snapshot regardless of cadence.
+	// cancellation always write regardless of cadence.
 	Every int
-	// ModelHash is stamped into every snapshot (see Checkpoint.ModelHash).
+	// ModelHash is stamped into the snapshot (see Checkpoint.ModelHash).
 	ModelHash string
-	// FullEvery spaces FULL snapshots among the durable writes: every
-	// FullEvery-th durable write re-serialises the whole state; the writes
-	// between append one compact delta record — only the memo-cache entries
-	// learned since the previous durable write — to the sidecar file
-	// Path+".delta". A full snapshot costs O(|Visited|) per write, so a
-	// per-commit cadence (Every = 1) on a long search rewrites an
-	// ever-growing cache every commit; with deltas the same cadence costs
-	// O(new entries), which is near-free. LoadCheckpoint replays snapshot +
-	// sidecar transparently, so resume semantics are unchanged; a torn
-	// final record (crash mid-append) is dropped, losing at most that one
-	// delta. Termination and cancellation always write a full snapshot.
-	// <= 1 means every durable write is a full snapshot and no sidecar is
-	// kept (the historical behaviour).
-	FullEvery int
-	// Aux, when non-nil, is called at snapshot time (serially, never
-	// concurrent with objective evaluations) to capture caller state.
+	// Aux, when non-nil, is called at every cadence point and final write
+	// (serially, never concurrent with objective evaluations) to capture
+	// caller state; every record written carries its result whole.
 	Aux func() json.RawMessage
 }
 
-// deltaHeader is the first line of a delta sidecar. BaseCommits ties the
-// records to the full snapshot they extend: a sidecar whose BaseCommits
-// does not equal the snapshot's Commits is stale (e.g. a crash landed
-// between a snapshot rename and the sidecar reset) and is ignored whole.
-type deltaHeader struct {
-	Version     int    `json:"version"`
-	Kind        string `json:"kind"`
-	ModelHash   string `json:"model_hash,omitempty"`
-	Dim         int    `json:"dim"`
-	BaseCommits int    `json:"base_commits"`
-}
-
 // deltaRecord is one appended line: the state advance of a single durable
-// write. Visited carries only the cache entries added since the previous
-// durable write; the scalar fields mirror the snapshot's for inspection.
+// write. Visited carries only the cache entries learned since the previous
+// durable write, so each memo entry is written exactly once; the scalar
+// fields mirror the snapshot's for inspection. Aux is repeated whole in
+// every record, so the newest intact record always carries the caller
+// state that matches the cache it completes.
 type deltaRecord struct {
 	Commit      int                  `json:"commit"`
 	Best        []int                `json:"best,omitempty"`
@@ -176,15 +156,13 @@ type deltaRecord struct {
 	Step        []int                `json:"step,omitempty"`
 	Halvings    int                  `json:"halvings,omitempty"`
 	Evaluations int                  `json:"evaluations,omitempty"`
+	Done        bool                 `json:"done,omitempty"`
 	Visited     map[string]JSONFloat `json:"visited,omitempty"`
+	Aux         json.RawMessage      `json:"aux,omitempty"`
 }
 
-// LoadCheckpoint reads and validates a checkpoint file, then folds in any
-// delta sidecar (path+".delta") written since the snapshot: records are
-// replayed in append order, so the returned Checkpoint is equivalent to
-// the full snapshot a FullEvery = 1 run would have written at the last
-// durable write. A stale sidecar (left by a crash, or belonging to an
-// older snapshot) is detected by its header and ignored.
+// LoadCheckpoint reads a checkpoint file and folds its log into one
+// Checkpoint (see ParseCheckpoint).
 func LoadCheckpoint(path string) (*Checkpoint, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
@@ -194,90 +172,24 @@ func LoadCheckpoint(path string) (*Checkpoint, error) {
 	if err != nil {
 		return nil, fmt.Errorf("pattern: checkpoint %s: %w", path, err)
 	}
-	if err := cp.mergeDeltas(path + deltaSuffix); err != nil {
-		return nil, fmt.Errorf("pattern: checkpoint %s: %w", path, err)
-	}
 	return cp, nil
 }
 
-// mergeDeltas applies the sidecar at path to cp. A missing sidecar, a torn
-// header, or a header that does not match cp (different model hash or base
-// commit count — a stale file) leave cp untouched. A torn FINAL record is
-// dropped: the append protocol fsyncs line by line, so only the last line
-// can be incomplete; corruption anywhere earlier is a real error.
-func (cp *Checkpoint) mergeDeltas(path string) error {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		if os.IsNotExist(err) {
-			return nil
-		}
-		return fmt.Errorf("reading delta sidecar: %w", err)
-	}
-	lines := strings.Split(string(data), "\n")
-	// A trailing newline (the normal case) yields one empty final element.
-	for len(lines) > 0 && lines[len(lines)-1] == "" {
-		lines = lines[:len(lines)-1]
-	}
-	if len(lines) == 0 {
-		return nil
-	}
-	var hdr deltaHeader
-	if err := json.Unmarshal([]byte(lines[0]), &hdr); err != nil {
-		// Crash mid-header-write: the sidecar carries nothing yet.
-		return nil
-	}
-	if hdr.Kind != deltaKind || hdr.Version != CheckpointVersion ||
-		hdr.ModelHash != cp.ModelHash || hdr.BaseCommits != cp.Commits {
-		return nil
-	}
-	if hdr.Dim != cp.Dim {
-		return fmt.Errorf("delta sidecar dimension %d does not match snapshot dimension %d", hdr.Dim, cp.Dim)
-	}
-	if cp.Visited == nil {
-		cp.Visited = make(map[string]JSONFloat)
-	}
-	for i, line := range lines[1:] {
-		var rec deltaRecord
-		if err := json.Unmarshal([]byte(line), &rec); err != nil {
-			if i == len(lines)-2 {
-				return nil // torn final append — lose that one delta
-			}
-			return fmt.Errorf("delta record %d corrupt: %w", i+1, err)
-		}
-		for _, v := range [][]int{rec.Best, rec.Step} {
-			if v != nil && len(v) != cp.Dim {
-				return fmt.Errorf("delta record %d vector length %d does not match dimension %d", i+1, len(v), cp.Dim)
-			}
-		}
-		for k, v := range rec.Visited {
-			if !ValidPointKey(k, cp.Dim) {
-				return fmt.Errorf("delta record %d visited key %q is not a %d-dimensional lattice point", i+1, k, cp.Dim)
-			}
-			cp.Visited[k] = v
-		}
-		if rec.Commit > cp.Commits {
-			cp.Commits = rec.Commit
-			if rec.Best != nil {
-				cp.Best = rec.Best
-			}
-			cp.BestValue = rec.BestValue
-			if rec.Step != nil {
-				cp.Step = rec.Step
-			}
-			cp.Halvings = rec.Halvings
-			cp.Evaluations = rec.Evaluations
-		}
-	}
-	return nil
-}
-
-// ParseCheckpoint decodes a checkpoint and validates its internal
-// consistency (version, kind, dimensions, key syntax). Malformed input of
-// any shape returns an error, never a panic: checkpoints may come from
-// disk written by older binaries or truncated by failed copies.
+// ParseCheckpoint decodes a checkpoint log and validates its internal
+// consistency (version, kind, dimensions, key syntax): the snapshot line,
+// then each appended record in order — its cache entries merged, its
+// scalars and Aux replacing the previous ones. A torn final line (crash
+// mid-append) is dropped, losing at most that one write; a complete line
+// that does not decode is corruption and an error. Malformed input of any
+// shape returns an error, never a panic: checkpoints may come from disk
+// written by older binaries or truncated by failed copies.
 func ParseCheckpoint(data []byte) (*Checkpoint, error) {
+	lines, _ := durable.Lines(data)
+	if len(lines) == 0 {
+		return nil, errors.New("checkpoint has no complete snapshot line")
+	}
 	var cp Checkpoint
-	if err := json.Unmarshal(data, &cp); err != nil {
+	if err := json.Unmarshal(lines[0], &cp); err != nil {
 		return nil, fmt.Errorf("parsing checkpoint: %w", err)
 	}
 	if cp.Version != CheckpointVersion {
@@ -289,17 +201,47 @@ func ParseCheckpoint(data []byte) (*Checkpoint, error) {
 	if cp.Dim < 1 {
 		return nil, fmt.Errorf("checkpoint dimension %d; need >= 1", cp.Dim)
 	}
-	for _, v := range [][]int{cp.Start, cp.Best, cp.Step} {
-		if v != nil && len(v) != cp.Dim {
-			return nil, fmt.Errorf("checkpoint vector length %d does not match dimension %d", len(v), cp.Dim)
-		}
+	if err := cp.checkShape(cp.Visited, cp.Start, cp.Best, cp.Step); err != nil {
+		return nil, fmt.Errorf("checkpoint snapshot: %w", err)
 	}
-	for k := range cp.Visited {
-		if !ValidPointKey(k, cp.Dim) {
-			return nil, fmt.Errorf("checkpoint visited key %q is not a %d-dimensional lattice point", k, cp.Dim)
+	if cp.Visited == nil {
+		cp.Visited = make(map[string]JSONFloat)
+	}
+	for i, line := range lines[1:] {
+		var rec deltaRecord
+		if err := json.Unmarshal(line, &rec); err != nil {
+			return nil, fmt.Errorf("checkpoint record %d corrupt: %w", i+1, err)
 		}
+		if err := cp.checkShape(rec.Visited, rec.Best, rec.Step); err != nil {
+			return nil, fmt.Errorf("checkpoint record %d: %w", i+1, err)
+		}
+		maps.Copy(cp.Visited, rec.Visited)
+		if rec.Best != nil {
+			cp.Best = rec.Best
+		}
+		if rec.Step != nil {
+			cp.Step = rec.Step
+		}
+		cp.Commits, cp.BestValue, cp.Halvings = rec.Commit, rec.BestValue, rec.Halvings
+		cp.Evaluations, cp.Done, cp.Aux = rec.Evaluations, rec.Done, rec.Aux
 	}
 	return &cp, nil
+}
+
+// checkShape verifies that every vector has the checkpoint's dimension and
+// every cache key is a lattice point of it.
+func (cp *Checkpoint) checkShape(visited map[string]JSONFloat, vecs ...[]int) error {
+	for _, v := range vecs {
+		if v != nil && len(v) != cp.Dim {
+			return fmt.Errorf("vector length %d does not match dimension %d", len(v), cp.Dim)
+		}
+	}
+	for k := range visited {
+		if !ValidPointKey(k, cp.Dim) {
+			return fmt.Errorf("visited key %q is not a %d-dimensional lattice point", k, cp.Dim)
+		}
+	}
+	return nil
 }
 
 // ValidPointKey reports whether k is a well-formed IntVector.Key() of the
@@ -319,77 +261,21 @@ func ValidPointKey(k string, dim int) bool {
 	return true
 }
 
-// Save writes the checkpoint atomically: marshal, write to a temp file in
-// the destination directory, fsync, rename. A crash at any instant leaves
-// either the previous complete checkpoint or the new complete one on disk
-// — never a torn file.
+// Save writes cp as a complete one-line checkpoint log, atomically: a
+// crash at any instant leaves either the previous file or the new one on
+// disk — never a torn file.
 func (cp *Checkpoint) Save(path string) error {
-	data, err := json.Marshal(cp)
+	l, err := durable.Create(path, cp)
 	if err != nil {
-		return fmt.Errorf("pattern: marshal checkpoint: %w", err)
+		return fmt.Errorf("pattern: save checkpoint: %w", err)
 	}
-	return WriteDurable(path, data)
-}
-
-// WriteDurable publishes data at path atomically and durably: write to a
-// temp file in the destination directory, fsync, rename, fsync the
-// directory. A crash at any instant leaves either the previous complete
-// file or the new complete one on disk — never a torn write. Shared by
-// every durable artifact in the repository that is replaced wholesale
-// (checkpoints here, the sharded search's manifests, leases and slab
-// results, and the windimd job journal's records).
-func WriteDurable(path string, data []byte) error {
-	dir := filepath.Dir(path)
-	tmp, err := os.CreateTemp(dir, "."+filepath.Base(path)+".tmp-*")
-	if err != nil {
-		return fmt.Errorf("pattern: durable temp file: %w", err)
-	}
-	tmpName := tmp.Name()
-	cleanup := func(err error) error {
-		tmp.Close()
-		os.Remove(tmpName)
-		return err
-	}
-	if _, err := tmp.Write(data); err != nil {
-		return cleanup(fmt.Errorf("pattern: durable write: %w", err))
-	}
-	if err := tmp.Sync(); err != nil {
-		return cleanup(fmt.Errorf("pattern: durable sync: %w", err))
-	}
-	if err := tmp.Close(); err != nil {
-		return cleanup(fmt.Errorf("pattern: durable close: %w", err))
-	}
-	if err := os.Rename(tmpName, path); err != nil {
-		os.Remove(tmpName)
-		return fmt.Errorf("pattern: durable publish: %w", err)
-	}
-	// The rename is durable only once the directory entry is: without the
-	// directory sync a crash immediately after the write can roll the file
-	// back to the previous version — or, for a first write, to nothing.
-	if err := syncDir(dir); err != nil {
-		return fmt.Errorf("pattern: sync durable directory: %w", err)
-	}
-	return nil
-}
-
-// syncDir fsyncs a directory, making previously renamed or created entries
-// in it durable.
-func syncDir(dir string) error {
-	d, err := os.Open(dir)
-	if err != nil {
-		return err
-	}
-	err = d.Sync()
-	if cerr := d.Close(); err == nil {
-		err = cerr
-	}
-	return err
+	return l.Close()
 }
 
 // snapshot builds the current checkpoint state. Called only from commit
 // points and termination, where the pass barrier guarantees no objective
 // evaluation (and hence no cache mutation) is in flight.
-func (s *searcher) snapshot(done bool) *Checkpoint {
+func (s *searcher) snapshot(done bool, aux json.RawMessage) *Checkpoint {
 	cp := &Checkpoint{
 		Version:     CheckpointVersion,
 		Kind:        checkpointKind,
@@ -404,133 +290,60 @@ func (s *searcher) snapshot(done bool) *Checkpoint {
 		Evaluations: s.result.Evaluations,
 		Done:        done,
 		Visited:     make(map[string]JSONFloat, len(s.cache)),
+		Aux:         aux,
 	}
 	for k, v := range s.cache {
 		cp.Visited[k] = JSONFloat(v)
-	}
-	if s.ckpt.Aux != nil {
-		cp.Aux = s.ckpt.Aux()
 	}
 	return cp
 }
 
 // writeCheckpoint persists the current state when checkpointing is
-// configured; final (termination/cancellation) writes ignore the cadence
-// and always produce a full snapshot. Between full snapshots (FullEvery >
-// 1), durable writes append delta records to the sidecar instead of
-// re-serialising the whole memo cache.
+// configured: on the commit cadence, and always for a final (termination
+// or cancellation) write. The first durable write of a run publishes a
+// snapshot of the whole cache — for a resumed run, preloaded entries
+// included, so the new file never depends on the one it resumed from.
+// Every later write appends one record with the entries learned since the
+// previous write, the scalars and Aux; a non-final write with no new
+// entries and an unchanged Aux has nothing to record and is skipped.
 func (s *searcher) writeCheckpoint(final bool) error {
 	if s.ckpt == nil {
 		return nil
 	}
-	every := s.ckpt.Every
-	if every <= 0 {
-		every = 1
-	}
-	if !final && s.commits%every != 0 {
+	if !final && s.commits%max(s.ckpt.Every, 1) != 0 {
 		return nil
 	}
-	full := final || s.ckpt.FullEvery <= 1 || s.durables%s.ckpt.FullEvery == 0 || s.delta == nil
-	s.durables++
-	if full {
-		return s.writeFull(final)
+	var aux json.RawMessage
+	if s.ckpt.Aux != nil {
+		aux = s.ckpt.Aux()
 	}
-	return s.appendDelta()
-}
-
-// writeFull writes a full snapshot and, in delta mode, resets the sidecar
-// to extend the new snapshot (or removes it after the final write — a
-// finished checkpoint needs no deltas). The snapshot rename lands before
-// the sidecar reset, so a crash between the two leaves a sidecar whose
-// BaseCommits no longer matches — mergeDeltas ignores it.
-func (s *searcher) writeFull(final bool) error {
-	if err := s.snapshot(final && s.doneOK).Save(s.ckpt.Path); err != nil {
-		return err
-	}
-	if s.pending == nil {
-		return nil
+	done := final && s.doneOK
+	if s.log == nil {
+		l, err := durable.Create(s.ckpt.Path, s.snapshot(done, aux))
+		if err != nil {
+			return fmt.Errorf("pattern: checkpoint: %w", err)
+		}
+		s.log = l
+	} else {
+		if !final && len(s.pending) == 0 && bytes.Equal(aux, s.aux) {
+			return nil
+		}
+		rec := deltaRecord{
+			Commit:      s.commits,
+			Best:        s.base,
+			BestValue:   JSONFloat(s.fBase),
+			Step:        s.step,
+			Halvings:    s.halvings,
+			Evaluations: s.result.Evaluations,
+			Done:        done,
+			Visited:     s.pending,
+			Aux:         aux,
+		}
+		if err := s.log.Append(rec); err != nil {
+			return fmt.Errorf("pattern: checkpoint: %w", err)
+		}
 	}
 	clear(s.pending)
-	if final {
-		s.closeDelta()
-		os.Remove(s.ckpt.Path + deltaSuffix) // best-effort: a stale leftover is ignored at load
-		return nil
-	}
-	return s.resetDelta()
-}
-
-// resetDelta truncates (or creates) the sidecar and writes its header,
-// keeping the file handle open for subsequent appends.
-func (s *searcher) resetDelta() error {
-	s.closeDelta()
-	f, err := os.OpenFile(s.ckpt.Path+deltaSuffix, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
-	if err != nil {
-		return fmt.Errorf("pattern: delta sidecar: %w", err)
-	}
-	hdr := deltaHeader{
-		Version:     CheckpointVersion,
-		Kind:        deltaKind,
-		ModelHash:   s.ckpt.ModelHash,
-		Dim:         len(s.start),
-		BaseCommits: s.commits,
-	}
-	if err := appendLine(f, hdr); err != nil {
-		f.Close()
-		return fmt.Errorf("pattern: delta sidecar header: %w", err)
-	}
-	// Appends fsync the file, but a freshly created sidecar also needs its
-	// directory entry made durable, or a crash loses the whole file.
-	if err := syncDir(filepath.Dir(s.ckpt.Path)); err != nil {
-		f.Close()
-		return fmt.Errorf("pattern: sync delta sidecar directory: %w", err)
-	}
-	s.delta = f
+	s.aux = aux
 	return nil
-}
-
-// appendDelta appends one record carrying the cache entries learned since
-// the previous durable write. A write with nothing new (every probe of the
-// pass was a cache hit — the steady state of a resume replay) is skipped
-// entirely: Visited is the load-bearing state, and the scalar fields are
-// advisory.
-func (s *searcher) appendDelta() error {
-	if len(s.pending) == 0 {
-		return nil
-	}
-	rec := deltaRecord{
-		Commit:      s.commits,
-		Best:        append([]int(nil), s.base...),
-		BestValue:   JSONFloat(s.fBase),
-		Step:        append([]int(nil), s.step...),
-		Halvings:    s.halvings,
-		Evaluations: s.result.Evaluations,
-		Visited:     s.pending,
-	}
-	if err := appendLine(s.delta, rec); err != nil {
-		return fmt.Errorf("pattern: delta append: %w", err)
-	}
-	clear(s.pending)
-	return nil
-}
-
-// appendLine marshals v, appends it to f as one newline-terminated record
-// and fsyncs, so every completed append survives a crash and only the
-// in-flight final line can ever be torn.
-func appendLine(f *os.File, v any) error {
-	data, err := json.Marshal(v)
-	if err != nil {
-		return err
-	}
-	if _, err := f.Write(append(data, '\n')); err != nil {
-		return err
-	}
-	return f.Sync()
-}
-
-// closeDelta releases the sidecar handle; safe to call at any time.
-func (s *searcher) closeDelta() {
-	if s.delta != nil {
-		s.delta.Close()
-		s.delta = nil
-	}
 }

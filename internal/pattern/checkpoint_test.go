@@ -43,19 +43,31 @@ func TestJSONFloatRoundTrip(t *testing.T) {
 }
 
 func TestParseCheckpointRejects(t *testing.T) {
+	const snapshot = `{"version": 2, "kind": "pattern-search", "dim": 2}`
 	bad := []string{
-		`{"version": 2, "kind": "pattern-search", "dim": 1}`,
-		`{"version": 1, "kind": "exhaustive", "dim": 1}`,
-		`{"version": 1, "kind": "pattern-search", "dim": 0}`,
-		`{"version": 1, "kind": "pattern-search", "dim": 2, "best": [1]}`,
-		`{"version": 1, "kind": "pattern-search", "dim": 2, "visited": {"1": 0}}`,
-		`{"version": 1, "kind": "pattern-search", "dim": 2, "visited": {"1,x": 0}}`,
+		`{"version": 1, "kind": "pattern-search", "dim": 1}`,
+		`{"version": 2, "kind": "exhaustive", "dim": 1}`,
+		`{"version": 2, "kind": "pattern-search", "dim": 0}`,
+		`{"version": 2, "kind": "pattern-search", "dim": 2, "best": [1]}`,
+		`{"version": 2, "kind": "pattern-search", "dim": 2, "visited": {"1": 0}}`,
+		`{"version": 2, "kind": "pattern-search", "dim": 2, "visited": {"1,x": 0}}`,
+		snapshot + "\n" + `{"commit": 2, "step": [1]}`,
+		snapshot + "\n" + `{"commit": 2, "visited": {"1": 0}}`,
+		snapshot + "\n" + `not json` + "\n" + `{"commit": 3}`,
 		`not json`,
 	}
 	for _, in := range bad {
-		if _, err := ParseCheckpoint([]byte(in)); err == nil {
+		if _, err := ParseCheckpoint([]byte(in + "\n")); err == nil {
 			t.Errorf("accepted %s", in)
 		}
+	}
+	if _, err := ParseCheckpoint([]byte(snapshot + "\n")); err != nil {
+		t.Errorf("rejected %s: %v", snapshot, err)
+	}
+	// The snapshot is published whole, so an unterminated one is not a
+	// checkpoint at all.
+	if _, err := ParseCheckpoint([]byte(snapshot)); err == nil {
+		t.Error("accepted an unterminated snapshot line")
 	}
 }
 

@@ -13,12 +13,13 @@ package pattern
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"math"
-	"os"
 	"sync"
 
+	"repro/internal/durable"
 	"repro/internal/numeric"
 )
 
@@ -74,11 +75,11 @@ type Options struct {
 	// degrades to "the best windows found in the time allowed" instead of
 	// nothing. nil means never cancelled.
 	Context context.Context
-	// Checkpoint, when non-nil, enables durable checkpoints: a snapshot of
-	// the search state is written atomically to Checkpoint.Path on the
-	// configured commit cadence, at cancellation, and at termination.
-	// Snapshots are taken only at commit points — after the pass barrier —
-	// so they never observe a partially evaluated pass.
+	// Checkpoint, when non-nil, enables durable checkpoints: the search
+	// state is written durably to Checkpoint.Path on the configured commit
+	// cadence, at cancellation, and at termination. Writes happen only at
+	// commit points — after the pass barrier — so they never observe a
+	// partially evaluated pass.
 	Checkpoint *CheckpointOptions
 	// Resume, when non-nil, preloads the memo cache from a checkpoint
 	// before the search starts. The search still runs from its start
@@ -166,12 +167,12 @@ type searcher struct {
 	commits  int
 	doneOK   bool // set when the search terminated normally
 
-	// Delta-checkpoint state (ckpt.FullEvery > 1): cache entries learned
-	// since the last durable write, the open sidecar handle, and the count
-	// of durable writes (used to space full snapshots).
-	pending  map[string]JSONFloat
-	delta    *os.File
-	durables int
+	// Checkpoint log state: the open log (nil until the first durable
+	// write), the cache entries learned since the last durable write, and
+	// the Aux that write carried.
+	log     *durable.Log
+	pending map[string]JSONFloat
+	aux     json.RawMessage
 }
 
 // future is one speculative objective evaluation in flight.
@@ -359,10 +360,16 @@ func Search(obj Objective, start numeric.IntVector, opts Options) (*Result, erro
 		return nil, err
 	}
 	s := &searcher{obj: obj, opts: opts, cache: make(map[string]float64), result: &Result{}, ckpt: opts.Checkpoint}
-	if s.ckpt != nil && s.ckpt.FullEvery > 1 {
+	if s.ckpt != nil {
 		s.pending = make(map[string]JSONFloat)
 	}
-	defer s.closeDelta()
+	defer func() {
+		if s.log != nil {
+			// Every record was fsynced by its append; closing only
+			// releases the handle.
+			s.log.Close()
+		}
+	}()
 	if opts.Workers > 1 {
 		s.sem = make(chan struct{}, opts.Workers)
 	}

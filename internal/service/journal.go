@@ -9,7 +9,7 @@ import (
 	"strings"
 	"time"
 
-	"repro/internal/pattern"
+	"repro/internal/durable"
 )
 
 // State is a job's lifecycle position. Transitions:
@@ -75,9 +75,9 @@ type JobResult struct {
 }
 
 // Record is a job's durable journal entry: everything a restarted daemon
-// needs to list, resume, or report the job. Records are written with the
-// same temp+fsync+rename+dirsync protocol as pattern checkpoints, so a
-// crash at any instant leaves the previous complete record or the new one.
+// needs to list, resume, or report the job. Records are replaced whole
+// with durable.Replace, so a crash at any instant leaves the previous
+// complete record or the new one.
 type Record struct {
 	ID    string          `json:"id"`
 	State State           `json:"state"`
@@ -105,8 +105,8 @@ const (
 )
 
 // Journal is the spool-directory job journal. Each job owns two files:
-// <id>.job (the fsynced record) and <id>.ckpt (+.ckpt.delta), the
-// pattern-search checkpoint written by the running search itself.
+// <id>.job (the fsynced record) and <id>.ckpt, the pattern-search
+// checkpoint log written by the running search itself.
 type Journal struct {
 	dir string
 }
@@ -151,7 +151,7 @@ func (j *Journal) Write(r *Record) error {
 	if err != nil {
 		return fmt.Errorf("service: marshal job record: %w", err)
 	}
-	if err := pattern.WriteDurable(j.RecordPath(r.ID), data); err != nil {
+	if err := durable.Replace(j.RecordPath(r.ID), data); err != nil {
 		return fmt.Errorf("service: job record %s: %w", r.ID, err)
 	}
 	return nil
@@ -163,6 +163,12 @@ func (j *Journal) Load(id string) (*Record, error) {
 	if err != nil {
 		return nil, err
 	}
+	return parseRecord(id, data)
+}
+
+// parseRecord decodes the record file of job id; a record naming any
+// other id is corrupt.
+func parseRecord(id string, data []byte) (*Record, error) {
 	var r Record
 	if err := json.Unmarshal(data, &r); err != nil {
 		return nil, fmt.Errorf("service: job record %s: %w", id, err)
@@ -205,12 +211,10 @@ func (j *Journal) Scan() (records []*Record, bad []string, err error) {
 }
 
 // RetireCheckpoint removes a finished job's resumable state — the
-// search checkpoint with its delta sidecar, and a shard job's
-// coordinator spool; the journal record (with its result) remains.
-// Best-effort: leftovers are ignored by every later run (terminal jobs
-// never resume).
+// search checkpoint and a shard job's coordinator spool; the journal
+// record (with its result) remains. Best-effort: leftovers are ignored by
+// every later run (terminal jobs never resume).
 func (j *Journal) RetireCheckpoint(id string) {
 	os.Remove(j.CheckpointPath(id))
-	os.Remove(j.CheckpointPath(id) + ".delta")
 	os.RemoveAll(j.ShardDir(id))
 }

@@ -70,22 +70,74 @@ func TestJournalScanOrderAndBadRecords(t *testing.T) {
 	}
 }
 
+// TestJournalRetireCheckpoint: a job's checkpoint is one log file, so
+// retiring it leaves the spool holding only the job's record.
 func TestJournalRetireCheckpoint(t *testing.T) {
 	dir := t.TempDir()
 	j, err := OpenJournal(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ckpt := j.CheckpointPath("job-1")
-	for _, p := range []string{ckpt, ckpt + ".delta"} {
-		if err := os.WriteFile(p, []byte("x"), 0o644); err != nil {
-			t.Fatal(err)
-		}
+	if err := j.Write(&Record{ID: "job-1", State: StateDone, Spec: json.RawMessage(`{}`), Created: time.Now().UTC()}); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(j.CheckpointPath("job-1"), []byte("{}\n"), 0o644); err != nil {
+		t.Fatal(err)
 	}
 	j.RetireCheckpoint("job-1")
-	for _, p := range []string{ckpt, ckpt + ".delta"} {
-		if _, err := os.Stat(p); !os.IsNotExist(err) {
-			t.Fatalf("%s survived retirement", p)
-		}
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
 	}
+	if len(entries) != 1 || entries[0].Name() != "job-1"+recordSuffix {
+		names := make([]string, len(entries))
+		for i, e := range entries {
+			names[i] = e.Name()
+		}
+		t.Fatalf("spool holds %v after retirement, want only the record", names)
+	}
+}
+
+// FuzzParseRecord checks the job-record decoder — what a restarted daemon
+// reads back from its spool — never panics, accepts only a record naming
+// its own id, and accepts the bytes it would write back for any record it
+// accepted.
+func FuzzParseRecord(f *testing.F) {
+	at := time.Date(2026, 8, 7, 12, 0, 0, 0, time.UTC)
+	good, err := json.Marshal(&Record{
+		ID: "job-1", State: StateDone, Spec: json.RawMessage(`{"example":"canada2"}`),
+		Start: []int{3, 3}, Attempts: 2, Created: at, Updated: at,
+		Retries: []Retry{{Attempt: 1, Error: "boom", BackoffMS: 100, At: at}},
+		Result:  &JobResult{Windows: []int{3, 3}, Power: 1.5, Evaluations: 12},
+	})
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add("job-1", good)
+	f.Add("job-1", good[:len(good)/2]) // torn write
+	f.Add("job-2", good)               // record names another id
+	f.Add("x", []byte(`{"id":"x","state":"queued","spec":null}`))
+	f.Add("x", []byte(`{"id":"x","created":"not a time"}`))
+	f.Add("x", []byte(`null`))
+	f.Add("", []byte(``))
+	f.Fuzz(func(t *testing.T, id string, data []byte) {
+		r, err := parseRecord(id, data)
+		if err != nil {
+			return // rejected input is fine; panics are not
+		}
+		if r.ID != id {
+			t.Fatalf("accepted record naming %q as job %q", r.ID, id)
+		}
+		out, err := json.Marshal(r)
+		if err != nil {
+			t.Fatalf("accepted record does not marshal: %v", err)
+		}
+		back, err := parseRecord(id, out)
+		if err != nil {
+			t.Fatalf("round trip rejected: %v\n%s", err, out)
+		}
+		if back.State != r.State || back.Attempts != r.Attempts || len(back.Retries) != len(r.Retries) || (back.Result == nil) != (r.Result == nil) {
+			t.Fatalf("round trip changed record: %+v vs %+v", back, r)
+		}
+	})
 }

@@ -269,20 +269,19 @@ func (s *Server) searchOptions(j *job, ctx context.Context, start numeric.IntVec
 		every = s.cfg.CheckpointEvery
 	}
 	opts := core.Options{
-		Evaluator:           j.parsed.Evaluator,
-		Objective:           j.parsed.Objective,
-		Search:              core.PatternSearch,
-		InitialWindows:      start,
-		MaxWindow:           j.parsed.Spec.MaxWindow,
-		Workers:             workers,
-		ExactEngine:         j.parsed.Spec.ExactEngine,
-		EvalTimeout:         j.parsed.evalTimeout(s.cfg.EvalTimeout),
-		DegradeAfter:        j.parsed.Spec.DegradeAfter,
-		MinScenarios:        j.parsed.Spec.MinScenarios,
-		Context:             ctx,
-		CheckpointPath:      s.journal.CheckpointPath(j.id),
-		CheckpointEvery:     every,
-		CheckpointFullEvery: s.cfg.CheckpointFullEvery,
+		Evaluator:       j.parsed.Evaluator,
+		Objective:       j.parsed.Objective,
+		Search:          core.PatternSearch,
+		InitialWindows:  start,
+		MaxWindow:       j.parsed.Spec.MaxWindow,
+		Workers:         workers,
+		ExactEngine:     j.parsed.Spec.ExactEngine,
+		EvalTimeout:     j.parsed.evalTimeout(s.cfg.EvalTimeout),
+		DegradeAfter:    j.parsed.Spec.DegradeAfter,
+		MinScenarios:    j.parsed.Spec.MinScenarios,
+		Context:         ctx,
+		CheckpointPath:  s.journal.CheckpointPath(j.id),
+		CheckpointEvery: every,
 		OnCommit: func(x numeric.IntVector, fx float64) {
 			ev := Event{Type: "commit", Windows: append([]int(nil), x...)}
 			if fx > 0 && !math.IsInf(fx, 0) && !math.IsNaN(fx) {

@@ -11,9 +11,9 @@ import (
 
 	"repro/internal/backoff"
 	"repro/internal/core"
+	"repro/internal/durable"
 	"repro/internal/netmodel"
 	"repro/internal/numeric"
-	"repro/internal/pattern"
 	"repro/internal/power"
 	"repro/internal/shard/transport"
 )
@@ -310,7 +310,7 @@ func (c *coordinator) plan(n *netmodel.Network, copts core.Options) (*Manifest, 
 		}
 	} else if !errors.Is(err, os.ErrNotExist) {
 		return nil, nil, err
-	} else if err := pattern.WriteDurable(path, data); err != nil {
+	} else if err := durable.Replace(path, data); err != nil {
 		return nil, nil, err
 	}
 	c.ev.emit(Event{Type: EventPlan, Slab: -1, Slabs: len(m.Slabs), Axis: m.Axis})
@@ -484,14 +484,11 @@ func (c *coordinator) validateResult(data []byte, slab, wantEpoch int) (*SlabRes
 	return res, nil
 }
 
-// quarantine renames a bad result file aside (never deletes it — the
-// bytes are evidence) so the slab can be re-run.
+// quarantine moves a bad result file aside as evidence so the slab can be
+// re-run.
 func (c *coordinator) quarantine(k int, cause error) {
-	path := resultPath(c.opts.Dir, k)
-	q := fmt.Sprintf("%s.quarantine-%d", path, c.res.Quarantined)
-	if err := os.Rename(path, q); err != nil {
-		// Removal beats re-reading the same bad bytes forever.
-		_ = os.Remove(path)
+	if err := durable.Quarantine(resultPath(c.opts.Dir, k)); err != nil {
+		c.opts.Logf("shard: slab %d: %v", k, err)
 	}
 	c.res.Quarantined++
 	c.ev.emit(Event{Type: EventQuarantine, Slab: k, Error: cause.Error()})

@@ -9,7 +9,7 @@ import (
 	"strings"
 	"time"
 
-	"repro/internal/pattern"
+	"repro/internal/durable"
 )
 
 // Lease fencing. Advisory heartbeats tell the coordinator a worker is
@@ -148,14 +148,13 @@ func writeLease(dir string, l *Lease) error {
 	if err != nil {
 		return err
 	}
-	return pattern.WriteDurable(leasePath(dir, l.Slab), data)
+	return durable.Replace(leasePath(dir, l.Slab), data)
 }
 
-// quarantineLease renames an unusable lease file aside as evidence.
+// quarantineLease moves an unusable lease file aside as evidence.
 func quarantineLease(dir string, slab int, cause error) {
-	path := leasePath(dir, slab)
-	if err := os.Rename(path, path+".quarantine"); err != nil {
-		_ = os.Remove(path)
+	if err := durable.Quarantine(leasePath(dir, slab)); err != nil {
+		cause = fmt.Errorf("%v (%v)", cause, err)
 	}
 	fmt.Fprintf(os.Stderr, "shard: quarantined lease for slab %d: %v\n", slab, cause)
 }

@@ -8,19 +8,18 @@
 // durable files in the spool directory:
 //
 //   - manifest.json — the search definition (network spec, evaluator,
-//     objective, box, axis, slab partition), written once with the
-//     temp+fsync+rename+dirsync protocol. Its SHA-256 is the manifest
+//     objective, box, axis, slab partition), written once with
+//     durable.Replace. Its SHA-256 is the manifest
 //     hash stamped into every other artifact, so a worker can never
 //     apply a stale slab assignment to a different search.
 //   - slab<k>.res — one slab's final optimum, written durably by the
 //     worker that finished it. The coordinator validates it against the
 //     manifest before merging; an unparsable or mismatched file is
 //     quarantined (renamed aside) and the slab re-run.
-//   - slab<k>.ckpt — the slab's delta checkpoint: a fsynced append-only
-//     NDJSON file (header line + one cumulative record per completed
-//     stride) in the discipline of internal/pattern's delta sidecar. A
-//     relaunched worker resumes from the last intact record; a torn
-//     final line (crash mid-append) loses at most one stride.
+//   - slab<k>.ckpt — the slab's checkpoint, a durable.Log: header line
+//     plus one cumulative record per completed stride. A relaunched
+//     worker resumes from the last intact record; a torn final line
+//     (crash mid-append) loses at most one stride.
 //   - slab<k>.hb — the worker's progress heartbeat (current stride).
 //     Advisory, not fsynced: the coordinator reassigns a slab whose
 //     heartbeat has not advanced within the slab deadline.
@@ -36,6 +35,7 @@
 package shard
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
@@ -45,6 +45,7 @@ import (
 	"strings"
 
 	"repro/internal/core"
+	"repro/internal/durable"
 	"repro/internal/netmodel"
 	"repro/internal/numeric"
 	"repro/internal/pattern"
@@ -431,24 +432,26 @@ type SlabCheckpoint struct {
 	// header); Records counts the intact records kept.
 	Last    *ckptRecord
 	Records int
-	// TornTail marks a final line that did not parse and was dropped.
+	// TornTail marks a dropped tail: an unterminated final line, or a
+	// record that did not decode or came from another epoch, with
+	// everything after it.
 	TornTail bool
 }
 
 // ParseSlabCheckpoint decodes a slab checkpoint file. The header must be
 // intact (a checkpoint whose identity cannot be established is useless);
-// record lines are consumed until the first torn one, which only a
-// crash mid-append can produce, so everything after it is suspect.
+// record lines are consumed until the first that does not decode, and
+// everything from there on is suspect and dropped with it.
 func ParseSlabCheckpoint(data []byte) (*SlabCheckpoint, error) {
 	if len(data) > maxCkptBytes {
 		return nil, fmt.Errorf("shard: slab checkpoint exceeds %d bytes", maxCkptBytes)
 	}
-	lines := strings.Split(string(data), "\n")
-	if len(lines) == 0 || strings.TrimSpace(lines[0]) == "" {
+	lines, torn := durable.Lines(data)
+	if len(lines) == 0 || len(bytes.TrimSpace(lines[0])) == 0 {
 		return nil, fmt.Errorf("shard: slab checkpoint has no header")
 	}
-	cp := &SlabCheckpoint{}
-	hdec := json.NewDecoder(strings.NewReader(lines[0]))
+	cp := &SlabCheckpoint{TornTail: torn}
+	hdec := json.NewDecoder(bytes.NewReader(lines[0]))
 	hdec.DisallowUnknownFields()
 	if err := hdec.Decode(&cp.Header); err != nil {
 		return nil, fmt.Errorf("shard: slab checkpoint header: %w", err)
@@ -471,14 +474,13 @@ func ParseSlabCheckpoint(data []byte) (*SlabCheckpoint, error) {
 	}
 	prev := -1 << 62
 	for _, line := range lines[1:] {
-		if strings.TrimSpace(line) == "" {
+		if len(bytes.TrimSpace(line)) == 0 {
 			continue
 		}
-		dec := json.NewDecoder(strings.NewReader(line))
+		dec := json.NewDecoder(bytes.NewReader(line))
 		dec.DisallowUnknownFields()
 		var rec ckptRecord
 		if err := dec.Decode(&rec); err != nil || dec.More() {
-			// Only the in-flight final line can be torn; stop here.
 			cp.TornTail = true
 			break
 		}

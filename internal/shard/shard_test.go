@@ -1,16 +1,20 @@
 package shard
 
 import (
+	"context"
 	"encoding/json"
 	"math"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/durable"
 	"repro/internal/netmodel"
+	"repro/internal/numeric"
 	"repro/internal/topo"
 )
 
@@ -304,6 +308,73 @@ func TestParseSlabCheckpointTornTail(t *testing.T) {
 	bad := two[0] + `{"stride":1,"epoch":1,"best":"2,3,4","best_value":0.5,"evaluations":6}` + "\n"
 	if _, err := ParseSlabCheckpoint([]byte(bad)); err == nil {
 		t.Error("wrong-dimension best key accepted")
+	}
+}
+
+// TestSlabCheckpointCrashStates feeds every state a crash during a
+// finished slab's last checkpoint append can leave — the record cut at
+// every byte, and cut then NUL-padded to its full length — into a
+// relaunch at the next epoch. Each relaunch must resume from the intact
+// prefix and write the same slab result as the uninterrupted worker,
+// evaluation count included.
+func TestSlabCheckpointCrashStates(t *testing.T) {
+	opts := testShardOptions(t)
+	dir := opts.Dir
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	m, err := buildManifest(testNetwork(), testCoreOptions(), &opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data, err := json.MarshalIndent(m, "", "  ")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := durable.Replace(manifestPath(dir), append(data, '\n')); err != nil {
+		t.Fatal(err)
+	}
+	const slab = 1
+	epoch := 0
+	relaunch := func() *SlabResult {
+		t.Helper()
+		epoch++
+		env := []string{EnvDir + "=" + dir, EnvSlab + "=" + strconv.Itoa(slab), EnvEpoch + "=" + strconv.Itoa(epoch)}
+		if code := WorkerEnvMain(context.Background(), env); code != ExitOK {
+			t.Fatalf("epoch %d: worker exit code %d", epoch, code)
+		}
+		res, err := ParseSlabResult(mustRead(t, resultPath(dir, slab)))
+		if err != nil {
+			t.Fatalf("epoch %d: %v", epoch, err)
+		}
+		return res
+	}
+	want := relaunch()
+	ckpt := mustRead(t, ckptPath(dir, slab))
+	lines, torn := durable.Lines(ckpt)
+	if torn || len(lines) < 3 {
+		t.Fatalf("finished checkpoint holds %d lines (torn=%v); need a header and two strides", len(lines), torn)
+	}
+	recLen := len(lines[len(lines)-1]) + 1
+	prefix := ckpt[:len(ckpt)-recLen]
+	for cut := 0; cut < recLen; cut++ {
+		torn := append(append([]byte(nil), prefix...), ckpt[len(prefix):len(prefix)+cut]...)
+		padded := append(append([]byte(nil), torn...), make([]byte, recLen-cut)...)
+		for _, state := range [][]byte{torn, padded} {
+			if err := os.WriteFile(ckptPath(dir, slab), state, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			if err := os.Remove(resultPath(dir, slab)); err != nil {
+				t.Fatal(err)
+			}
+			got := relaunch()
+			if numeric.IntVector(got.Best).Key() != numeric.IntVector(want.Best).Key() ||
+				math.Float64bits(float64(got.BestValue)) != math.Float64bits(float64(want.BestValue)) ||
+				got.Evaluations != want.Evaluations || !got.Resumed {
+				t.Errorf("cut %d of %d (%d bytes): result best %v (%v) evals %d resumed %v, uninterrupted %v (%v) evals %d",
+					cut, recLen, len(state), got.Best, got.BestValue, got.Evaluations, got.Resumed, want.Best, want.BestValue, want.Evaluations)
+			}
+		}
 	}
 }
 

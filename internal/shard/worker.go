@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/durable"
 	"repro/internal/numeric"
 	"repro/internal/pattern"
 )
@@ -284,7 +285,7 @@ func runWorker(ctx context.Context, cfg workerConfig) error {
 		if st.best != nil {
 			rec.Best = st.best.Key()
 		}
-		if err := ckpt.append(rec); err != nil {
+		if err := ckpt.Append(rec); err != nil {
 			return err
 		}
 		switch cfg.fault {
@@ -343,12 +344,12 @@ func runWorker(ctx context.Context, cfg workerConfig) error {
 			return err
 		}
 		fmt.Fprintf(os.Stderr, "shard-worker: zombie writing stale epoch %d result for slab %d\n", cfg.epoch, slab)
-		return pattern.WriteDurable(resultPath(dir, slab), out)
+		return durable.Replace(resultPath(dir, slab), out)
 	}
 	if err := fence.prove(ctx); err != nil {
 		return err
 	}
-	return pattern.WriteDurable(resultPath(dir, slab), out)
+	return durable.Replace(resultPath(dir, slab), out)
 }
 
 // fenceState tracks a worker's proof of ownership: the lease it renews
@@ -465,9 +466,9 @@ type slabState struct {
 
 // loadSlabState reads the slab's checkpoint if one exists. A checkpoint
 // whose header does not match this search (different manifest, slab or
-// dimension) or does not parse at all is quarantined — renamed aside,
-// not deleted — and the slab starts fresh; losing an attempt's progress
-// is recoverable, silently mixing two searches is not. A header from an
+// dimension) or does not parse at all is quarantined (durable.Quarantine)
+// and the slab starts fresh; losing an attempt's progress is
+// recoverable, silently mixing two searches is not. A header from an
 // OLDER epoch is the normal resume case, not corruption: its records
 // are valid cumulative states, and adopting them is what makes rescans
 // exact.
@@ -486,9 +487,8 @@ func loadSlabState(dir string, slab int, hash string, dim int) (*slabState, erro
 		perr = fmt.Errorf("shard: checkpoint belongs to a different search or slab")
 	}
 	if perr != nil {
-		q := path + ".quarantine"
-		if rerr := os.Rename(path, q); rerr != nil {
-			return nil, fmt.Errorf("shard: quarantining bad checkpoint (%v): %w", perr, rerr)
+		if err := durable.Quarantine(path); err != nil {
+			perr = fmt.Errorf("%v (%v)", perr, err)
 		}
 		fmt.Fprintf(os.Stderr, "shard-worker: quarantined checkpoint for slab %d: %v\n", slab, perr)
 		return st, nil
@@ -512,24 +512,17 @@ func loadSlabState(dir string, slab int, hash string, dim int) (*slabState, erro
 	return st, nil
 }
 
-// slabCkpt appends fsynced NDJSON records to the slab checkpoint.
-type slabCkpt struct{ f *os.File }
-
-// openSlabCkpt (re)establishes the checkpoint file: it rewrites the
-// durable prefix — header plus, on resume, the last cumulative record,
-// both stamped with THIS attempt's epoch — with the temp+fsync+rename
-// protocol (truncating any torn tail a crash left behind), then opens
-// it for fsynced appends. The rename is also the fence against zombie
+// openSlabCkpt (re)establishes the checkpoint log with durable.Create:
+// the durable prefix — header plus, on resume, the last cumulative
+// record, both stamped with THIS attempt's epoch — replaces the file
+// (dropping any torn tail a crash left behind), then the log takes
+// fsynced appends. Create's rename is also the fence against zombie
 // appends: a previous attempt still holding the file open now holds an
 // orphaned inode, so its writes can never reach the live checkpoint.
-func openSlabCkpt(dir string, slab int, hash string, epoch, dim int, st *slabState) (*slabCkpt, error) {
-	var sb strings.Builder
-	enc := json.NewEncoder(&sb)
-	if err := enc.Encode(ckptHeader{
+func openSlabCkpt(dir string, slab int, hash string, epoch, dim int, st *slabState) (*durable.Log, error) {
+	recs := []any{ckptHeader{
 		Version: FormatVersion, Kind: ckptKind, ManifestHash: hash, Slab: slab, Epoch: epoch, Dim: dim,
-	}); err != nil {
-		return nil, err
-	}
+	}}
 	if st.resumed {
 		rec := ckptRecord{
 			Stride:       st.next - 1,
@@ -541,35 +534,10 @@ func openSlabCkpt(dir string, slab int, hash string, epoch, dim int, st *slabSta
 		if st.best != nil {
 			rec.Best = st.best.Key()
 		}
-		if err := enc.Encode(rec); err != nil {
-			return nil, err
-		}
+		recs = append(recs, rec)
 	}
-	path := ckptPath(dir, slab)
-	if err := pattern.WriteDurable(path, []byte(sb.String())); err != nil {
-		return nil, err
-	}
-	f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		return nil, err
-	}
-	return &slabCkpt{f: f}, nil
+	return durable.Create(ckptPath(dir, slab), recs...)
 }
-
-// append writes one record line and fsyncs before returning, so a
-// record's durability is established before any fault can fire.
-func (c *slabCkpt) append(rec ckptRecord) error {
-	line, err := json.Marshal(&rec)
-	if err != nil {
-		return err
-	}
-	if _, err := c.f.Write(append(line, '\n')); err != nil {
-		return err
-	}
-	return c.f.Sync()
-}
-
-func (c *slabCkpt) Close() error { return c.f.Close() }
 
 // writeHeartbeat publishes the stride the worker is about to scan. It is
 // advisory liveness (progress) information, deliberately not fsynced.
