@@ -6,10 +6,14 @@
 //	benchdiff -baseline BENCH_baseline.json -current bench.json
 //
 // Timings are wall-clock and noisy on shared runners, so the time band is
-// wide by default; allocation counts and objective-evaluation counts are
-// deterministic, so their bands are tight. A benchmark present in the
-// baseline but missing from the current run fails the gate (coverage was
-// lost); a new benchmark only in the current run is reported but passes.
+// wide by default. Allocation counts get a tight band rather than none,
+// because the parallel entries' counts vary with goroutine scheduling
+// (DimensionParallel: 609 in the baseline, 670 on a 2-vCPU guest). The
+// evaluations column — objective evaluations, or executed events for the
+// simulator entries — is deterministic, so it must match exactly, up or
+// down. A benchmark present in the baseline but missing from the current
+// run fails the gate (coverage was lost); a new benchmark only in the
+// current run is reported but passes.
 package main
 
 import (
@@ -68,7 +72,6 @@ func run(args []string) error {
 	current := fs.String("current", "", "freshly measured JSON (required)")
 	timeTol := fs.Float64("time-tol", 0.50, "allowed fractional ns/op increase (wall clock is noisy)")
 	allocTol := fs.Float64("alloc-tol", 0.15, "allowed fractional allocs/op increase")
-	evalTol := fs.Float64("eval-tol", 0.25, "allowed fractional objective-evaluation increase")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -95,7 +98,7 @@ func run(args []string) error {
 		Headers: []string{"Benchmark", "ns/op", "Δ%", "allocs/op", "Δ%", "evals", "Δ%", "verdict"},
 	}
 	failures := 0
-	var missing []string
+	var missing, evalChanged []string
 	logRatioSum, ratioCount := 0.0, 0
 	for _, b := range base.Results {
 		baseNames[b.Name] = true
@@ -110,18 +113,25 @@ func run(args []string) error {
 			logRatioSum += math.Log(c.NsPerOp / b.NsPerOp)
 			ratioCount++
 		}
-		verdict := "ok"
 		dTime := frac(c.NsPerOp, b.NsPerOp)
 		dAlloc := frac(float64(c.AllocsPerOp), float64(b.AllocsPerOp))
 		dEval := frac(float64(c.Evaluations), float64(b.Evaluations))
+		var verdicts []string
 		if dTime > *timeTol {
-			verdict = "SLOWER"
-			failures++
+			verdicts = append(verdicts, "SLOWER")
 		} else if dAlloc > *allocTol {
-			verdict = "MORE ALLOCS"
-			failures++
-		} else if dEval > *evalTol {
-			verdict = "MORE EVALS"
+			verdicts = append(verdicts, "MORE ALLOCS")
+		}
+		// The exact evaluations check runs whatever the time and alloc
+		// verdict, so an entry slowed by machine drift still has a
+		// changed count named.
+		if c.Evaluations != b.Evaluations {
+			verdicts = append(verdicts, "EVALS CHANGED")
+			evalChanged = append(evalChanged, fmt.Sprintf("%s (%d -> %d)", b.Name, b.Evaluations, c.Evaluations))
+		}
+		verdict := "ok"
+		if len(verdicts) > 0 {
+			verdict = strings.Join(verdicts, ", ")
 			failures++
 		}
 		t.AddRow(b.Name,
@@ -147,12 +157,17 @@ func run(args []string) error {
 		geomean = fmt.Sprintf("%.3fx", math.Exp(logRatioSum/float64(ratioCount)))
 	}
 	if failures > 0 {
-		if len(missing) > 0 {
-			return fmt.Errorf("%d benchmark(s) failed the gate (geomean ns/op ratio %s); baseline entries missing from the current run: %s — coverage was lost, re-run paperbench with the full suite or refresh the baseline",
-				failures, geomean, strings.Join(missing, ", "))
+		var evals string
+		if len(evalChanged) > 0 {
+			evals = fmt.Sprintf("; evaluation counts changed: %s — they are deterministic, so if the change is intended re-record that column of the baseline and note it in CHANGES.md",
+				strings.Join(evalChanged, ", "))
 		}
-		return fmt.Errorf("%d benchmark(s) regressed beyond tolerance (geomean ns/op ratio %s; time %+.0f%%, allocs %+.0f%%, evals %+.0f%%)",
-			failures, geomean, *timeTol*100, *allocTol*100, *evalTol*100)
+		if len(missing) > 0 {
+			return fmt.Errorf("%d benchmark(s) failed the gate (geomean ns/op ratio %s); baseline entries missing from the current run: %s — coverage was lost, re-run paperbench with the full suite or refresh the baseline%s",
+				failures, geomean, strings.Join(missing, ", "), evals)
+		}
+		return fmt.Errorf("%d benchmark(s) regressed beyond tolerance (geomean ns/op ratio %s; time %+.0f%%, allocs %+.0f%%, evals exact)%s",
+			failures, geomean, *timeTol*100, *allocTol*100, evals)
 	}
 	fmt.Printf("\nall %d benchmarks within tolerance, geomean ns/op ratio %s\n", len(base.Results), geomean)
 	return nil

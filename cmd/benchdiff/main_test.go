@@ -17,6 +17,26 @@ func writeBench(t *testing.T, dir, name, content string) string {
 	return path
 }
 
+// runCapture runs benchdiff with args and returns what it printed to
+// stdout along with its error.
+func runCapture(t *testing.T, args ...string) (string, error) {
+	t.Helper()
+	old := os.Stdout
+	rp, wp, err := os.Pipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	os.Stdout = wp
+	runErr := run(args)
+	wp.Close()
+	os.Stdout = old
+	out, err := io.ReadAll(rp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(out), runErr
+}
+
 const baseJSON = `{"go":"go1.24.0","workers":4,"results":[
 	{"name":"A","ns_per_op":1000,"allocs_per_op":10,"bytes_per_op":100,"evaluations":5},
 	{"name":"B","ns_per_op":2000,"allocs_per_op":0,"bytes_per_op":0,"evaluations":0}]}`
@@ -112,6 +132,52 @@ func TestBenchdiffEvalRegression(t *testing.T) {
 	}
 }
 
+// TestBenchdiffEvalCountsExact: evaluation counts are deterministic, so any
+// drift fails — a +20% rise the old band let through, and a single
+// evaluation fewer — and the message names the entry and the remedy.
+func TestBenchdiffEvalCountsExact(t *testing.T) {
+	base := `{"go":"go1.24.0","workers":4,"results":[
+		{"name":"Table47","ns_per_op":1000,"allocs_per_op":10,"bytes_per_op":100,"evaluations":78}]}`
+	for name, evals := range map[string]string{"+20%": "94", "-1": "77"} {
+		dir := t.TempDir()
+		basePath := writeBench(t, dir, "base.json", base)
+		cur := writeBench(t, dir, "cur.json", `{"go":"go1.24.0","workers":4,"results":[
+		{"name":"Table47","ns_per_op":1000,"allocs_per_op":10,"bytes_per_op":100,"evaluations":`+evals+`}]}`)
+		err := run([]string{"-baseline", basePath, "-current", cur})
+		if err == nil {
+			t.Fatalf("%s evaluation drift passed the gate", name)
+		}
+		for _, want := range []string{"Table47 (78 -> " + evals + ")", "re-record", "CHANGES.md"} {
+			if !strings.Contains(err.Error(), want) {
+				t.Errorf("%s: error %q lacks %q", name, err, want)
+			}
+		}
+	}
+}
+
+// TestBenchdiffEvalChangeBehindSlower: an entry that is both slower and
+// changed in evaluations must still have the evaluation change named.
+func TestBenchdiffEvalChangeBehindSlower(t *testing.T) {
+	dir := t.TempDir()
+	base := writeBench(t, dir, "base.json", baseJSON)
+	cur := writeBench(t, dir, "cur.json", `{"go":"go1.24.0","workers":4,"results":[
+		{"name":"A","ns_per_op":9000,"allocs_per_op":10,"bytes_per_op":100,"evaluations":6},
+		{"name":"B","ns_per_op":2000,"allocs_per_op":0,"bytes_per_op":0,"evaluations":0}]}`)
+	out, runErr := runCapture(t, "-baseline", base, "-current", cur)
+	if runErr == nil {
+		t.Fatal("9x slowdown with changed evaluations passed the gate")
+	}
+	if !strings.Contains(runErr.Error(), "A (5 -> 6)") {
+		t.Errorf("error %q does not name the evaluation change", runErr)
+	}
+	if !strings.Contains(out, "SLOWER, EVALS CHANGED") {
+		t.Errorf("table lacks the combined verdict:\n%s", out)
+	}
+	if !strings.Contains(runErr.Error(), "1 benchmark(s)") {
+		t.Errorf("one entry counted more than once: %v", runErr)
+	}
+}
+
 func TestBenchdiffMissingNamesInError(t *testing.T) {
 	// The failure message must name the lost baseline entries so the
 	// operator knows which coverage disappeared, not just that some did.
@@ -138,23 +204,11 @@ func TestBenchdiffGeomeanLine(t *testing.T) {
 	cur := writeBench(t, dir, "cur.json", `{"go":"go1.24.0","workers":4,"results":[
 		{"name":"A","ns_per_op":500,"allocs_per_op":10,"bytes_per_op":100,"evaluations":5},
 		{"name":"B","ns_per_op":2000,"allocs_per_op":0,"bytes_per_op":0,"evaluations":0}]}`)
-	old := os.Stdout
-	rp, wp, err := os.Pipe()
-	if err != nil {
-		t.Fatal(err)
-	}
-	os.Stdout = wp
-	runErr := run([]string{"-baseline", base, "-current", cur})
-	wp.Close()
-	os.Stdout = old
-	out, err := io.ReadAll(rp)
-	if err != nil {
-		t.Fatal(err)
-	}
+	out, runErr := runCapture(t, "-baseline", base, "-current", cur)
 	if runErr != nil {
 		t.Fatalf("in-band diff failed: %v", runErr)
 	}
-	if !strings.Contains(string(out), "geomean ns/op ratio 0.707x") {
+	if !strings.Contains(out, "geomean ns/op ratio 0.707x") {
 		t.Fatalf("verdict line missing geomean ratio:\n%s", out)
 	}
 }

@@ -41,23 +41,17 @@ func run(args []string) error {
 	robustdim := fs.Bool("robustdim", false, "nominal vs minimax-robust window dimensioning over a scenario set")
 	sensitivity := fs.Bool("sensitivity", false, "static-vs-retuned window sensitivity study")
 	all := fs.Bool("all", false, "run everything")
-	evaluator := fs.String("evaluator", "sigma", "candidate evaluator for the tables: sigma, schweitzer, exact")
+	evaluator := fs.String("evaluator", "sigma", "candidate evaluator for the tables: sigma, schweitzer, linearizer, exact")
 	workers := fs.Int("workers", 1, "parallel candidate evaluations for the dimensioning runs")
 	jsonOut := fs.String("json", "", "run the benchmark suite and write machine-readable results to this file (- for stdout)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	opts := core.Options{Workers: *workers}
-	switch *evaluator {
-	case "sigma":
-		opts.Evaluator = core.EvalSigmaMVA
-	case "schweitzer":
-		opts.Evaluator = core.EvalSchweitzerMVA
-	case "exact":
-		opts.Evaluator = core.EvalExactMVA
-	default:
-		return fmt.Errorf("unknown evaluator %q", *evaluator)
+	ev, err := core.ParseEvaluator(*evaluator)
+	if err != nil {
+		return err
 	}
+	opts := core.Options{Evaluator: ev, Workers: *workers}
 	if *jsonOut != "" {
 		return runJSONBench(*jsonOut, opts)
 	}

@@ -118,27 +118,11 @@ func run(args []string) error {
 		DisableFallback: *noFallback,
 		ExactEngine:     *exactEngine,
 	}
-	switch *evaluator {
-	case "sigma":
-		copts.Evaluator = core.EvalSigmaMVA
-	case "schweitzer":
-		copts.Evaluator = core.EvalSchweitzerMVA
-	case "linearizer":
-		copts.Evaluator = core.EvalLinearizerMVA
-	case "exact":
-		copts.Evaluator = core.EvalExactMVA
-	default:
-		return fmt.Errorf("unknown evaluator %q", *evaluator)
+	if copts.Evaluator, err = core.ParseEvaluator(*evaluator); err != nil {
+		return err
 	}
-	switch *objective {
-	case "power":
-		copts.Objective = core.ObjNetworkPower
-	case "min-class":
-		copts.Objective = core.ObjMinClassPower
-	case "sum-class":
-		copts.Objective = core.ObjSumClassPower
-	default:
-		return fmt.Errorf("unknown objective %q", *objective)
+	if copts.Objective, err = core.ParseObjective(*objective); err != nil {
+		return err
 	}
 
 	argv := []string{os.Args[0], "-shard-worker"}

@@ -4,9 +4,41 @@ import (
 	"math"
 	"testing"
 
+	"repro/internal/mva"
+	"repro/internal/netmodel"
 	"repro/internal/numeric"
+	"repro/internal/power"
 	"repro/internal/topo"
 )
+
+// referenceEvaluate is the per-call evaluation the Engine replaced: build
+// the closed model at the candidate and run the configured solver on it
+// cold, with no prevalidation, workspace, sparse view or fallback chain.
+func referenceEvaluate(n *netmodel.Network, windows numeric.IntVector, opts Options) (*power.Metrics, error) {
+	model, sources, err := n.ClosedModel(windows)
+	if err != nil {
+		return nil, err
+	}
+	var sol *mva.Solution
+	switch opts.Evaluator {
+	case EvalExactMVA:
+		sol, err = mva.ExactMultichain(model)
+	case EvalSchweitzerMVA:
+		mo := opts.MVA
+		mo.Method = mva.Schweitzer
+		sol, err = mva.Approximate(model, mo)
+	case EvalLinearizerMVA:
+		sol, err = mva.Linearizer(model, opts.MVA)
+	default:
+		mo := opts.MVA
+		mo.Method = mva.SigmaHeuristic
+		sol, err = mva.Approximate(model, mo)
+	}
+	if err != nil {
+		return nil, err
+	}
+	return power.FromSolution(model, sol, sources)
+}
 
 func TestEngineMatchesEvaluate(t *testing.T) {
 	n := topo.Canada2Class(15, 20)
@@ -17,7 +49,7 @@ func TestEngineMatchesEvaluate(t *testing.T) {
 			t.Fatalf("%v: %v", ev, err)
 		}
 		for _, w := range []numeric.IntVector{{1, 1}, {3, 2}, {2, 5}, {3, 2}} {
-			legacy, err := Evaluate(n, w, opts)
+			legacy, err := referenceEvaluate(n, w, opts)
 			if err != nil {
 				t.Fatalf("%v %v: %v", ev, w, err)
 			}
@@ -118,6 +150,60 @@ func TestEngineObjectiveValueAllocs(t *testing.T) {
 	}
 }
 
+// TestBoxScannerObjectiveAllocs: the scanner's objective adds nothing to
+// the engines' allocation-free hot path, over one engine (no scenario
+// health, no lock) and over three scenario engines.
+func TestBoxScannerObjectiveAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are inflated under the race detector")
+	}
+	n := topo.Canada4Class(9.957, 4.419, 7.656, 7.968)
+	nominal, err := NewBoxScanner(n, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	capScale := []float64{1, 1, 1, 1, 1, 1, 1}
+	capScale[topo.ChWT] = 0.5
+	scenarios := []Scenario{
+		{Name: "nominal"},
+		{Name: "trunk-degraded", CapacityScale: capScale},
+		{Name: "class4-surge", RateScale: []float64{1, 1, 1, 2}},
+	}
+	robust := &BoxScanner{
+		weights: robustWeights(scenarios),
+		kind:    RobustWeighted,
+		health:  newScenarioHealth([]string{"nominal", "trunk-degraded", "class4-surge"}, 0, 0),
+	}
+	for i := range scenarios {
+		p, err := scenarios[i].Apply(n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		eng, err := NewEngine(p, robust.opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		robust.engines = append(robust.engines, eng)
+	}
+	w := numeric.IntVector{4, 4, 3, 2}
+	for _, c := range []struct {
+		name string
+		scan *BoxScanner
+	}{{"nominal", nominal}, {"three scenarios", robust}} {
+		if _, err := c.scan.objective(w); err != nil {
+			t.Fatal(err)
+		}
+		allocs := testing.AllocsPerRun(50, func() {
+			if _, err := c.scan.objective(w); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs != 0 {
+			t.Errorf("%s: objective allocates %v per candidate in steady state", c.name, allocs)
+		}
+	}
+}
+
 func dimensionTrajectory(t *testing.T, opts Options, s1, s2, s3, s4 float64, fourClass bool) *Result {
 	t.Helper()
 	var res *Result
@@ -201,7 +287,7 @@ func BenchmarkEvaluateEngine(b *testing.B) {
 	b.Run("legacy", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if _, err := Evaluate(n, w, Options{}); err != nil {
+			if _, err := referenceEvaluate(n, w, Options{}); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -227,9 +227,9 @@ func oracleHmax(e *Engine) numeric.IntVector {
 	return eng.Hmax()
 }
 
-// TestRobustExhaustiveReservedMatchesLazy: DimensionRobust's exhaustive
-// branch builds each scenario oracle's lattice at the full box before the
-// scan. Its minimax and weighted results must equal, bit for bit, those of
+// TestRobustExhaustiveReservedMatchesLazy: a robust exhaustive search
+// (BoxScanner.Scan over the scenario engines) builds each scenario
+// oracle's lattice at the full box before the scan. Its minimax and weighted results must equal, bit for bit, those of
 // the same scan over engines whose lattices grew candidate by candidate.
 func TestRobustExhaustiveReservedMatchesLazy(t *testing.T) {
 	n := topo.Canada4Class(10, 10, 10, 10)
@@ -319,7 +319,7 @@ func TestSlabScanReservesCorner(t *testing.T) {
 		if _, err := scanner.Scan(sLo, sHi); err != nil {
 			t.Fatalf("stride %d: %v", v, err)
 		}
-		if h := oracleHmax(scanner.eng); !h.Equal(corner) {
+		if h := oracleHmax(scanner.engines[0]); !h.Equal(corner) {
 			t.Fatalf("after stride %d the oracle box is %v, want the corner %v", v, h, corner)
 		}
 	}

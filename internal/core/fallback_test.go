@@ -234,3 +234,71 @@ func TestDimensionUncancelledContext(t *testing.T) {
 			plain.Search.Evaluations, ctxed.Search.Evaluations)
 	}
 }
+
+// failingSolverOptions make every iterative tier of the chain fail, so
+// each candidate — and each report — is answered by the exact tier.
+func failingSolverOptions() Options {
+	return Options{Evaluator: EvalSchweitzerMVA, MaxWindow: 8, MVA: mva.Options{MaxIter: 1}}
+}
+
+// TestDimensionRobustReportsThroughFallback: the robust report evaluates
+// the chosen windows through the same fallback chain the search used, so a
+// run whose every candidate needs the chain still reports its one identity
+// scenario instead of failing at the robust windows.
+func TestDimensionRobustReportsThroughFallback(t *testing.T) {
+	n := topo.Canada2Class(20, 20)
+	opts := failingSolverOptions()
+	plain, err := Dimension(n, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	scenarios := []Scenario{{Name: "nominal"}}
+	res, err := DimensionRobust(n, scenarios, RobustMinimax, opts)
+	if err != nil {
+		t.Fatalf("robust run failed at its report: %v", err)
+	}
+	if !res.Windows.Equal(plain.Windows) {
+		t.Errorf("robust windows %v, Dimension %v", res.Windows, plain.Windows)
+	}
+	if len(res.Degraded) != 0 {
+		t.Errorf("identity scenario degraded: %+v", res.Degraded)
+	}
+	if res.PerScenario[0] == nil || res.PerScenario[0].Power <= 0 {
+		t.Errorf("identity scenario has no usable metrics: %+v", res.PerScenario[0])
+	}
+	if _, err := EvaluateScenarios(n, scenarios, res.Windows, opts); err != nil {
+		t.Errorf("EvaluateScenarios at the robust windows: %v", err)
+	}
+}
+
+// TestDimensionPartialThroughFallback: a cancelled run reports its
+// best-so-far point through the fallback chain too, so the partial result
+// carries metrics even when no primary solve converges. Past k = 30 the
+// search itself finishes, and a context that dies during the report must
+// still not cost the finished run its result.
+func TestDimensionPartialThroughFallback(t *testing.T) {
+	n := topo.Canada2Class(20, 20)
+	plain, err := Dimension(n, failingSolverOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for k := 4; k <= 40; k++ {
+		opts := failingSolverOptions()
+		opts.Context = &countdownCtx{remaining: k}
+		res, err := Dimension(n, opts)
+		if (k <= 30 || err != nil) && !errors.Is(err, context.Canceled) {
+			t.Fatalf("k=%d: error %v does not wrap context.Canceled", k, err)
+		}
+		if res == nil || res.Windows == nil {
+			t.Fatalf("k=%d: no best-so-far result", k)
+		}
+		// The hop-count start is already the optimum here, so every
+		// best-so-far point is Dimension's answer.
+		if !res.Windows.Equal(plain.Windows) {
+			t.Errorf("k=%d: best-so-far %v, Dimension %v", k, res.Windows, plain.Windows)
+		}
+		if res.Metrics == nil || res.Metrics.Power <= 0 {
+			t.Fatalf("k=%d: best-so-far %v has no usable metrics: %+v", k, res.Windows, res.Metrics)
+		}
+	}
+}

@@ -4,9 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sync/atomic"
 
-	"repro/internal/mva"
 	"repro/internal/netmodel"
 	"repro/internal/numeric"
 	"repro/internal/pattern"
@@ -28,15 +26,19 @@ const (
 	RobustWeighted
 )
 
+var robustNames = enumNames[RobustKind]{"robust criterion", []string{
+	RobustMinimax:  "minmax",
+	RobustWeighted: "weighted",
+}}
+
+// ParseRobustKind maps a wire name (minmax, weighted) to its RobustKind.
+func ParseRobustKind(s string) (RobustKind, error) { return robustNames.parse(s) }
+
 func (k RobustKind) String() string {
-	switch k {
-	case RobustMinimax:
-		return "minmax"
-	case RobustWeighted:
-		return "weighted"
-	default:
-		return fmt.Sprintf("RobustKind(%d)", int(k))
+	if name, err := robustNames.name(k); err == nil {
+		return name
 	}
+	return fmt.Sprintf("RobustKind(%d)", int(k))
 }
 
 // RobustResult is the outcome of a DimensionRobust run.
@@ -98,15 +100,15 @@ func robustWeights(scenarios []Scenario) []float64 {
 // model, and the search maximises either the worst-scenario power
 // (RobustMinimax) or the weight-normalised mean power (RobustWeighted).
 //
-// The machinery is Dimension's, replicated per scenario: each scenario
-// gets its own reusable Engine with its own warm-started AMVA state
-// (committed together at every accepted base point), the resilient
-// fallback chain rescues non-converging candidates per scenario, and
-// opts.Context cancels the search with the best-so-far vector returned
-// alongside the wrapped context error. Under opts.Workers > 1 the
-// speculative-parallel pattern search stays bit-identical to the serial
-// run, because every scenario engine re-seeds from its committed
-// trajectory only.
+// The search is Dimension's: the same BoxScanner, holding one reusable
+// Engine per scenario with its own warm-started AMVA state (committed
+// together at every accepted base point). The resilient fallback chain
+// rescues non-converging candidates per scenario, and opts.Context
+// cancels the search with the best-so-far vector returned alongside the
+// wrapped context error. Under opts.Workers > 1 the speculative-parallel
+// pattern search stays bit-identical to the serial run, because every
+// scenario engine re-seeds from its committed trajectory only. Under
+// RobustMinimax one identity scenario reproduces Dimension bit for bit.
 //
 // A candidate that fails to converge under ANY scenario is infeasible:
 // robust windows must be evaluable everywhere they claim to protect.
@@ -138,7 +140,6 @@ func DimensionRobust(n *netmodel.Network, scenarios []Scenario, kind RobustKind,
 		// perturbed models share a structure share a convolution lattice.
 		opts.Oracles = NewOracleCache(0)
 	}
-	weights := robustWeights(scenarios)
 	perturbed := make([]*netmodel.Network, len(scenarios))
 	engines := make([]*Engine, len(scenarios))
 	names := make([]string, len(scenarios))
@@ -156,166 +157,38 @@ func DimensionRobust(n *netmodel.Network, scenarios []Scenario, kind RobustKind,
 		names[i] = scenarios[i].Name
 	}
 	health := newScenarioHealth(names, opts.MinScenarios, opts.DegradeAfter)
-	ckptOpts, resume, err := searchCheckpointing(n, opts, scenarios, kind.String())
+	scan := &BoxScanner{opts: opts, engines: engines, weights: robustWeights(scenarios), kind: kind, health: health}
+	ckpt, resume, err := searchCheckpointing(n, opts, scenarios, kind.String())
 	if err != nil {
 		return nil, err
 	}
-	if ckptOpts != nil {
-		ckptOpts.Aux = health.snapshotAux
+	if ckpt != nil {
+		ckpt.Aux = health.snapshotAux
 	}
 	if resume != nil {
 		if err := health.restoreAux(resume.Aux); err != nil {
 			return nil, err
 		}
 	}
-
-	nCls := len(n.Classes)
-	maxW := opts.MaxWindow
-	if maxW <= 0 {
-		maxW = 64
-	}
-	hi := numeric.NewIntVector(nCls)
-	lo := numeric.NewIntVector(nCls)
-	for i := range hi {
-		hi[i] = maxW
-		lo[i] = 1
-	}
-
-	var nonConverged atomic.Int64
-	// objective returns the value the search minimises: the largest
-	// per-scenario 1/power for minimax, or 1 over the weighted mean power
-	// — both over the ACTIVE scenarios, with weights renormalised as
-	// scenarios degrade. While every scenario stays healthy the value is a
-	// pure function of (committed warm seeds, candidate), so the
-	// speculative search stays deterministic; a degradation event changes
-	// the objective for all later candidates, which is the documented
-	// price of continuing past a dead scenario.
-	objective := func(x numeric.IntVector) (float64, error) {
-		worst := 0.0
-		weightedP := 0.0
-		totalW := 0.0
-		evaluated := 0
-		for i, eng := range engines {
-			if !health.isActive(i) {
-				continue
-			}
-			v, err := eng.ObjectiveValue(x, opts.Objective)
-			if err != nil {
-				if errors.Is(err, mva.ErrNotConverged) {
-					nonConverged.Add(1)
-					// The candidate is infeasible as before; repeated
-					// failures can additionally retire the scenario itself
-					// (opt-in via DegradeAfter).
-					if derr := health.strike(i, err.Error()); derr != nil {
-						return 0, derr
-					}
-					return math.Inf(1), nil
-				}
-				if opts.Context != nil && opts.Context.Err() != nil {
-					// Cancellation is never a scenario's fault.
-					return 0, err
-				}
-				// A terminal failure confined to one scenario: exclude the
-				// scenario (quorum permitting) and keep dimensioning on
-				// the rest, rather than abort the whole run.
-				if derr := health.degrade(i, err.Error()); derr != nil {
-					return 0, derr
-				}
-				continue
-			}
-			if math.IsInf(v, 1) {
-				return math.Inf(1), nil
-			}
-			if v > worst {
-				worst = v
-			}
-			weightedP += weights[i] / v
-			totalW += weights[i]
-			evaluated++
-		}
-		if evaluated == 0 {
-			// Unreachable while the quorum holds; defensive for quorum 0
-			// misconfiguration slipping through.
-			return 0, errors.New("core: no active scenario evaluated the candidate")
-		}
-		if kind == RobustMinimax {
-			return worst, nil
-		}
-		return totalW / weightedP, nil
-	}
-
-	var sres *pattern.Result
-	switch opts.Search {
-	case ExhaustiveSearch:
-		for _, eng := range engines {
-			eng.reserveScan(hi)
-		}
-		sres, err = pattern.Exhaustive(opts.Context, objective, lo, hi, 0, opts.Workers)
-	default:
-		start := opts.InitialWindows
-		if start == nil {
-			start = n.HopVector()
-		}
-		if len(start) != nCls {
-			return nil, fmt.Errorf("core: initial window vector has %d entries for %d classes", len(start), nCls)
-		}
-		popts := pattern.Options{
-			InitialStep: opts.InitialStep,
-			Lo:          lo,
-			Hi:          hi,
-			MaxHalvings: opts.MaxHalvings,
-			Workers:     opts.Workers,
-			Context:     opts.Context,
-			Checkpoint:  ckptOpts,
-			Resume:      resume,
-		}
-		if engines[0].useWarm || opts.OnCommit != nil {
-			popts.OnCommit = func(x numeric.IntVector, fx float64) {
-				if engines[0].useWarm {
-					// Degraded engines skip the warm re-seed: they answer no
-					// further evaluations.
-					for i, eng := range engines {
-						if health.isActive(i) {
-							eng.Commit(x)
-						}
-					}
-				}
-				if opts.OnCommit != nil {
-					opts.OnCommit(x, fx)
-				}
-			}
-		}
-		sres, err = pattern.Search(objective, start, popts)
-	}
-	searchErr := err
-	if searchErr != nil && (sres == nil || sres.Best == nil) {
+	sres, searchErr := scan.search(n, ckpt, resume)
+	if sres == nil {
 		return nil, searchErr
-	}
-	if sres.Best == nil || math.IsInf(sres.BestValue, 1) {
-		return nil, fmt.Errorf("core: no window setting feasible under every scenario (evaluator %v)", opts.Evaluator)
 	}
 
 	res := &RobustResult{
-		Windows:      sres.Best,
-		Search:       sres,
-		NonConverged: int(nonConverged.Load()),
-	}
-	for _, eng := range engines {
-		counts := eng.FallbackCounts()
-		for t := range counts {
-			res.Fallbacks[t] += counts[t]
-		}
-		res.WatchdogTrips += eng.WatchdogTrips()
+		Windows:       sres.Best,
+		Search:        sres,
+		NonConverged:  scan.NonConverged(),
+		Fallbacks:     scan.FallbackCounts(),
+		WatchdogTrips: scan.WatchdogTrips(),
 	}
 	// Per-scenario metrics at the chosen windows, over the scenarios that
-	// survived. After a cancellation the engines carry a dead context, so
-	// re-evaluate with a context-free options copy (as Dimension does for
-	// its partial result). A scenario that fails HERE — after the search
-	// accepted the windows — degrades like a mid-search failure: recorded
-	// and excluded, quorum permitting, instead of discarding the run.
-	clean := opts
-	clean.Context = nil
-	clean.MVA.Context = nil
+	// survived, each on a fresh engine with context-free options (as
+	// Dimension reports its partial result). A scenario that fails HERE —
+	// after the search accepted the windows — degrades like a mid-search
+	// failure: recorded and excluded, quorum permitting, instead of
+	// discarding the run.
+	clean := contextFree(opts)
 	res.ScenarioPower = make([]float64, len(scenarios))
 	res.PerScenario = make([]*power.Metrics, len(scenarios))
 	res.WorstPower = math.Inf(1)
@@ -342,8 +215,8 @@ func DimensionRobust(n *netmodel.Network, scenarios []Scenario, kind RobustKind,
 			res.WorstPower = p
 			res.WorstScenario = i
 		}
-		weightedP += weights[i] * p
-		totalW += weights[i]
+		weightedP += scan.weights[i] * p
+		totalW += scan.weights[i]
 	}
 	if totalW > 0 {
 		res.WeightedPower = weightedP / totalW
@@ -369,18 +242,4 @@ func EvaluateScenarios(n *netmodel.Network, scenarios []Scenario, windows numeri
 		powers[i] = criterionPower(m, opts.Objective)
 	}
 	return powers, nil
-}
-
-// criterionPower maps metrics to the power value the objective kind
-// scores (the inverse of objectiveValue, without the infeasibility
-// sentinel).
-func criterionPower(m *power.Metrics, kind ObjectiveKind) float64 {
-	switch kind {
-	case ObjMinClassPower:
-		return m.MinClassPower()
-	case ObjSumClassPower:
-		return m.SumClassPower()
-	default:
-		return m.Power
-	}
 }

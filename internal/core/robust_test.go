@@ -272,26 +272,62 @@ func TestDimensionRobustCancelledBestSoFar(t *testing.T) {
 	}
 }
 
-// TestDimensionRobustSingleNominalMatchesDimension: with one identity
-// scenario both criteria reduce to plain Dimension.
+// TestDimensionRobustSingleNominalMatchesDimension: DimensionRobust runs on
+// Dimension's scanner, so under minimax one identity scenario reproduces
+// Dimension bit for bit — windows, criterion value, evaluation and cache
+// counts, trajectory — for the pattern search serial and parallel, the
+// exhaustive scan, and the exact engine. The weighted criterion takes
+// 1/(1/v), which can move the value by an ulp, so only its windows are
+// pinned.
 func TestDimensionRobustSingleNominalMatchesDimension(t *testing.T) {
-	n := topo.Canada2Class(25, 25)
-	plain, err := Dimension(n, Options{})
-	if err != nil {
-		t.Fatal(err)
+	n := topo.Canada4Class(9.957, 4.419, 7.656, 7.968)
+	configs := []struct {
+		name string
+		opts Options
+	}{
+		{"pattern serial", Options{Workers: 1}},
+		{"pattern parallel", Options{Workers: 4}},
+		{"exhaustive", Options{Search: ExhaustiveSearch, Workers: 3, MaxWindow: 8}},
+		{"exact engine", Options{Evaluator: EvalExactMVA, ExactEngine: true, MaxWindow: 8}},
 	}
-	for _, kind := range []RobustKind{RobustMinimax, RobustWeighted} {
-		res, err := DimensionRobust(n, []Scenario{{Name: "nominal"}}, kind, Options{})
+	for _, c := range configs {
+		name, opts := c.name, c.opts
+		plain, err := Dimension(n, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !res.Windows.Equal(plain.Windows) {
-			t.Errorf("%v: robust windows %v vs plain %v", kind, res.Windows, plain.Windows)
-		}
-		// Same windows; the power values may differ within the AMVA
-		// fixed-point tolerance (warm vs cold final evaluation).
-		if math.Abs(res.WorstPower-plain.Metrics.Power) > 1e-4*plain.Metrics.Power {
-			t.Errorf("%v: worst power %v vs plain %v", kind, res.WorstPower, plain.Metrics.Power)
+		for _, kind := range []RobustKind{RobustMinimax, RobustWeighted} {
+			res, err := DimensionRobust(n, []Scenario{{Name: "nominal"}}, kind, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !res.Windows.Equal(plain.Windows) {
+				t.Errorf("%s %v: robust windows %v vs plain %v", name, kind, res.Windows, plain.Windows)
+			}
+			// Same windows; the reported power may differ within the AMVA
+			// fixed-point tolerance (warm vs cold final evaluation).
+			if math.Abs(res.WorstPower-plain.Metrics.Power) > 1e-4*plain.Metrics.Power {
+				t.Errorf("%s %v: worst power %v vs plain %v", name, kind, res.WorstPower, plain.Metrics.Power)
+			}
+			if kind != RobustMinimax {
+				continue
+			}
+			got, want := res.Search, plain.Search
+			if math.Float64bits(got.BestValue) != math.Float64bits(want.BestValue) {
+				t.Errorf("%s: robust best value %v vs plain %v", name, got.BestValue, want.BestValue)
+			}
+			if got.Evaluations != want.Evaluations || got.CacheHits != want.CacheHits {
+				t.Errorf("%s: robust evals/hits %d/%d vs plain %d/%d", name,
+					got.Evaluations, got.CacheHits, want.Evaluations, want.CacheHits)
+			}
+			if len(got.BasePoints) != len(want.BasePoints) {
+				t.Fatalf("%s: %d base points vs %d", name, len(got.BasePoints), len(want.BasePoints))
+			}
+			for i := range want.BasePoints {
+				if !got.BasePoints[i].Equal(want.BasePoints[i]) {
+					t.Errorf("%s: base point %d = %v vs %v", name, i, got.BasePoints[i], want.BasePoints[i])
+				}
+			}
 		}
 	}
 }

@@ -23,6 +23,30 @@ import (
 	"repro/internal/power"
 )
 
+// enumNames is one option enum's wire-name table, indexed by value: the
+// names the CLIs accept, the windimd job spec carries and the shard
+// manifest serialises. what names the enum in errors.
+type enumNames[T ~int] struct {
+	what string
+	wire []string
+}
+
+func (t enumNames[T]) parse(s string) (T, error) {
+	for v, name := range t.wire {
+		if name == s {
+			return T(v), nil
+		}
+	}
+	return 0, fmt.Errorf("unknown %s %q", t.what, s)
+}
+
+func (t enumNames[T]) name(v T) (string, error) {
+	if v < 0 || int(v) >= len(t.wire) {
+		return "", fmt.Errorf("unserialisable %s %d", t.what, int(v))
+	}
+	return t.wire[v], nil
+}
+
 // Evaluator selects the model solved for each candidate window vector.
 type Evaluator int
 
@@ -56,6 +80,20 @@ func (e Evaluator) String() string {
 	}
 }
 
+var evaluatorNames = enumNames[Evaluator]{"evaluator", []string{
+	EvalSigmaMVA:      "sigma",
+	EvalSchweitzerMVA: "schweitzer",
+	EvalExactMVA:      "exact",
+	EvalLinearizerMVA: "linearizer",
+}}
+
+// ParseEvaluator maps a wire name (sigma, schweitzer, linearizer, exact)
+// to its Evaluator.
+func ParseEvaluator(s string) (Evaluator, error) { return evaluatorNames.parse(s) }
+
+// EvaluatorName is ParseEvaluator's inverse.
+func EvaluatorName(e Evaluator) (string, error) { return evaluatorNames.name(e) }
+
 // ObjectiveKind selects what Dimension maximises.
 type ObjectiveKind int
 
@@ -85,17 +123,36 @@ func (o ObjectiveKind) String() string {
 	}
 }
 
-// objectiveValue maps metrics to the value the search minimises.
-func objectiveValue(m *power.Metrics, kind ObjectiveKind) float64 {
-	var p float64
+var objectiveNames = enumNames[ObjectiveKind]{"objective", []string{
+	ObjNetworkPower:  "power",
+	ObjMinClassPower: "min-class",
+	ObjSumClassPower: "sum-class",
+}}
+
+// ParseObjective maps a wire name (power, min-class, sum-class) to its
+// ObjectiveKind.
+func ParseObjective(s string) (ObjectiveKind, error) { return objectiveNames.parse(s) }
+
+// ObjectiveName is ParseObjective's inverse.
+func ObjectiveName(o ObjectiveKind) (string, error) { return objectiveNames.name(o) }
+
+// criterionPower maps metrics to the power value the objective kind
+// scores.
+func criterionPower(m *power.Metrics, kind ObjectiveKind) float64 {
 	switch kind {
 	case ObjMinClassPower:
-		p = m.MinClassPower()
+		return m.MinClassPower()
 	case ObjSumClassPower:
-		p = m.SumClassPower()
+		return m.SumClassPower()
 	default:
-		p = m.Power
+		return m.Power
 	}
+}
+
+// objectiveValue maps metrics to the value the search minimises: 1 over
+// the criterion power, +Inf where that power is not positive.
+func objectiveValue(m *power.Metrics, kind ObjectiveKind) float64 {
+	p := criterionPower(m, kind)
 	if p <= 0 || math.IsNaN(p) {
 		return math.Inf(1)
 	}
@@ -114,15 +171,19 @@ const (
 	ExhaustiveSearch
 )
 
+var searchNames = enumNames[SearchKind]{"search", []string{
+	PatternSearch:    "pattern",
+	ExhaustiveSearch: "exhaustive",
+}}
+
+// ParseSearch maps a wire name (pattern, exhaustive) to its SearchKind.
+func ParseSearch(s string) (SearchKind, error) { return searchNames.parse(s) }
+
 func (s SearchKind) String() string {
-	switch s {
-	case PatternSearch:
-		return "pattern"
-	case ExhaustiveSearch:
-		return "exhaustive"
-	default:
-		return fmt.Sprintf("SearchKind(%d)", int(s))
+	if name, err := searchNames.name(s); err == nil {
+		return name
 	}
+	return fmt.Sprintf("SearchKind(%d)", int(s))
 }
 
 // Options configures WINDIM. The zero value reproduces the thesis:
@@ -297,151 +358,65 @@ type Result struct {
 }
 
 // Evaluate solves the closed-chain model of the network at the given
-// window vector and returns its power metrics.
+// window vector and returns its power metrics. A nil windows vector uses
+// the classes' own Window fields, as in netmodel's ClosedModel. It is a
+// one-shot Engine, so the answer comes through the same solver and
+// fallback chain as every search candidate.
 func Evaluate(n *netmodel.Network, windows numeric.IntVector, opts Options) (*power.Metrics, error) {
-	model, sources, err := n.ClosedModel(windows)
+	eng, err := NewEngine(n, opts)
 	if err != nil {
 		return nil, err
 	}
-	var sol *mva.Solution
-	switch opts.Evaluator {
-	case EvalExactMVA:
-		sol, err = mva.ExactMultichain(model)
-	case EvalSchweitzerMVA:
-		mo := opts.MVA
-		mo.Method = mva.Schweitzer
-		sol, err = mva.Approximate(model, mo)
-	case EvalLinearizerMVA:
-		sol, err = mva.Linearizer(model, opts.MVA)
-	default:
-		mo := opts.MVA
-		mo.Method = mva.SigmaHeuristic
-		sol, err = mva.Approximate(model, mo)
+	if windows == nil {
+		windows = n.Windows()
 	}
-	if err != nil {
-		return nil, err
-	}
-	return power.FromSolution(model, sol, sources)
+	return eng.Evaluate(windows)
+}
+
+// contextFree returns opts without its (possibly dead) context, for the
+// evaluations that report a search's answer after the search ended.
+func contextFree(opts Options) Options {
+	opts.Context = nil
+	opts.MVA.Context = nil
+	return opts
 }
 
 // Dimension runs WINDIM on the network and returns the power-optimal
 // window settings.
 func Dimension(n *netmodel.Network, opts Options) (*Result, error) {
-	if err := n.Validate(); err != nil {
-		return nil, err
-	}
-	nCls := len(n.Classes)
-	maxW := opts.MaxWindow
-	if maxW <= 0 {
-		maxW = 64
-	}
-	hi := numeric.NewIntVector(nCls)
-	lo := numeric.NewIntVector(nCls)
-	for i := range hi {
-		hi[i] = maxW
-		lo[i] = 1
-	}
-	feasible, err := bufferFeasibility(n, opts.BufferLimits)
+	scan, err := NewBoxScanner(n, opts)
 	if err != nil {
 		return nil, err
 	}
-	if opts.Context != nil {
-		// Thread the deadline into the MVA fixed-point loops too, so a
-		// single stuck solve cannot outlive the search's cancellation.
-		opts.MVA.Context = opts.Context
-	}
-	eng, err := NewEngine(n, opts)
+	ckpt, resume, err := searchCheckpointing(n, opts, nil, "")
 	if err != nil {
 		return nil, err
 	}
-	res := &Result{}
-	// A non-converged fixed point marks the candidate as infeasible (+Inf)
-	// rather than aborting the search; see BoxScanner.objective.
-	scan := &BoxScanner{opts: opts, eng: eng, feasible: feasible}
-	objective := scan.objective
-
-	ckptOpts, resume, err := searchCheckpointing(n, opts, nil, "")
-	if err != nil {
-		return nil, err
-	}
-
-	var sres *pattern.Result
-	switch opts.Search {
-	case ExhaustiveSearch:
-		sres, err = scan.Scan(lo, hi)
-	default:
-		start := opts.InitialWindows
-		if start == nil {
-			start = n.HopVector()
-		}
-		if len(start) != nCls {
-			return nil, fmt.Errorf("core: initial window vector has %d entries for %d classes", len(start), nCls)
-		}
-		if feasible != nil && !feasible(start) {
-			// The hop-count start can violate tight buffer limits; fall
-			// back to the all-ones vector, the smallest live setting.
-			ones := numeric.NewIntVector(nCls)
-			for i := range ones {
-				ones[i] = 1
-			}
-			if !feasible(ones) {
-				return nil, fmt.Errorf("core: buffer limits admit no window setting (even all-ones overflows some node)")
-			}
-			start = ones
-		}
-		popts := pattern.Options{
-			InitialStep: opts.InitialStep,
-			Lo:          lo,
-			Hi:          hi,
-			MaxHalvings: opts.MaxHalvings,
-			Workers:     opts.Workers,
-			Context:     opts.Context,
-			Checkpoint:  ckptOpts,
-			Resume:      resume,
-		}
-		if eng.useWarm || opts.OnCommit != nil {
-			popts.OnCommit = func(x numeric.IntVector, fx float64) {
-				if eng.useWarm {
-					eng.Commit(x)
-				}
-				if opts.OnCommit != nil {
-					opts.OnCommit(x, fx)
-				}
-			}
-		}
-		sres, err = pattern.Search(objective, start, popts)
-	}
-	// A cancelled search may still carry a best-so-far point; any other
-	// error (or cancellation before the first commit) is terminal.
-	searchErr := err
-	if searchErr != nil && (sres == nil || sres.Best == nil) {
+	sres, searchErr := scan.search(n, ckpt, resume)
+	if sres == nil {
 		return nil, searchErr
 	}
-	if sres.Best == nil || math.IsInf(sres.BestValue, 1) {
-		return nil, fmt.Errorf("core: no feasible window setting found (evaluator %v)", opts.Evaluator)
-	}
 	var metrics *power.Metrics
-	if searchErr != nil {
-		// The engine's solvers carry the (now dead) context; re-evaluate
-		// the best-so-far point with a context-free copy of the options so
-		// the partial Result still reports its metrics.
-		clean := opts
-		clean.Context = nil
-		clean.MVA.Context = nil
-		metrics, err = Evaluate(n, sres.Best, clean)
-	} else {
-		metrics, err = eng.Evaluate(sres.Best)
+	if searchErr == nil {
+		metrics, err = scan.engines[0].Evaluate(sres.Best)
+	}
+	if searchErr != nil || (err != nil && opts.Context != nil && opts.Context.Err() != nil) {
+		// The engine's solvers carry the (now dead) context; evaluate the
+		// best-so-far point on a fresh engine so the Result still reports
+		// its metrics.
+		metrics, err = Evaluate(n, sres.Best, contextFree(opts))
 	}
 	if err != nil {
 		return nil, err
 	}
-	res.Windows = sres.Best
-	res.Metrics = metrics
-	res.Search = sres
-	res.NonConverged = scan.NonConverged()
-	res.Fallbacks = eng.FallbackCounts()
-	res.WatchdogTrips = eng.WatchdogTrips()
-	return res, searchErr
+	return &Result{
+		Windows:       sres.Best,
+		Metrics:       metrics,
+		Search:        sres,
+		NonConverged:  scan.NonConverged(),
+		Fallbacks:     scan.FallbackCounts(),
+		WatchdogTrips: scan.WatchdogTrips(),
+	}, searchErr
 }
 
 // KleinrockWindows returns the hop-count window vector (E_r = number of

@@ -19,6 +19,68 @@ func TestEnumStrings(t *testing.T) {
 	}
 }
 
+// TestEnumWireNames pins the wire names: the shard manifest serialises
+// them (shard.FormatVersion depends on them), and the windimd job tests
+// match the parse errors.
+func TestEnumWireNames(t *testing.T) {
+	for e, want := range map[Evaluator]string{
+		EvalSigmaMVA: "sigma", EvalSchweitzerMVA: "schweitzer", EvalLinearizerMVA: "linearizer", EvalExactMVA: "exact",
+	} {
+		if got, err := EvaluatorName(e); err != nil || got != want {
+			t.Errorf("EvaluatorName(%v) = %q, %v; want %q", e, got, err, want)
+		}
+		if got, err := ParseEvaluator(want); err != nil || got != e {
+			t.Errorf("ParseEvaluator(%q) = %v, %v; want %v", want, got, err, e)
+		}
+	}
+	for o, want := range map[ObjectiveKind]string{ObjNetworkPower: "power", ObjMinClassPower: "min-class", ObjSumClassPower: "sum-class"} {
+		if got, err := ObjectiveName(o); err != nil || got != want {
+			t.Errorf("ObjectiveName(%v) = %q, %v; want %q", o, got, err, want)
+		}
+		if got, err := ParseObjective(want); err != nil || got != o {
+			t.Errorf("ParseObjective(%q) = %v, %v; want %v", want, got, err, o)
+		}
+	}
+	for k, want := range map[RobustKind]string{RobustMinimax: "minmax", RobustWeighted: "weighted"} {
+		if got, err := ParseRobustKind(want); err != nil || got != k {
+			t.Errorf("ParseRobustKind(%q) = %v, %v; want %v", want, got, err, k)
+		}
+	}
+	for s, want := range map[SearchKind]string{PatternSearch: "pattern", ExhaustiveSearch: "exhaustive"} {
+		if got, err := ParseSearch(want); err != nil || got != s {
+			t.Errorf("ParseSearch(%q) = %v, %v; want %v", want, got, err, s)
+		}
+	}
+	if _, err := EvaluatorName(Evaluator(7)); err == nil {
+		t.Error("out-of-range evaluator named")
+	}
+	if _, err := ObjectiveName(ObjectiveKind(-1)); err == nil {
+		t.Error("negative objective named")
+	}
+	// The String forms are not wire names, and nothing parses the empty
+	// string: callers map "" to their own default first.
+	for _, s := range []string{"", "sigma-mva", "network-power"} {
+		if _, err := ParseEvaluator(s); err == nil {
+			t.Errorf("ParseEvaluator(%q) accepted", s)
+		}
+		if _, err := ParseObjective(s); err == nil {
+			t.Errorf("ParseObjective(%q) accepted", s)
+		}
+		if _, err := ParseRobustKind(s); err == nil {
+			t.Errorf("ParseRobustKind(%q) accepted", s)
+		}
+		if _, err := ParseSearch(s); err == nil {
+			t.Errorf("ParseSearch(%q) accepted", s)
+		}
+	}
+	if _, err := ParseEvaluator("magic"); err == nil || err.Error() != `unknown evaluator "magic"` {
+		t.Errorf("evaluator error %v", err)
+	}
+	if _, err := ParseObjective("profit"); err == nil || err.Error() != `unknown objective "profit"` {
+		t.Errorf("objective error %v", err)
+	}
+}
+
 func TestEvaluateCanada2(t *testing.T) {
 	n := topo.Canada2Class(18, 18)
 	m, err := Evaluate(n, numeric.IntVector{4, 4}, Options{})
@@ -39,6 +101,26 @@ func TestEvaluateCanada2(t *testing.T) {
 	}
 	if math.Abs(m.ClassDelay[0]-m.ClassDelay[1]) > 1e-6 {
 		t.Errorf("asymmetric class delays %v", m.ClassDelay)
+	}
+}
+
+// TestEvaluateNilWindows pins the nil convention Evaluate shares with
+// netmodel's ClosedModel: nil means the network's own windows.
+func TestEvaluateNilWindows(t *testing.T) {
+	n := topo.Canada2Class(18, 18)
+	n.Classes[0].Window, n.Classes[1].Window = 5, 3
+	for _, ev := range []Evaluator{EvalSigmaMVA, EvalExactMVA} {
+		got, err := Evaluate(n, nil, Options{Evaluator: ev})
+		if err != nil {
+			t.Fatalf("%v: nil windows: %v", ev, err)
+		}
+		want, err := Evaluate(n, n.Windows(), Options{Evaluator: ev})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if math.Float64bits(got.Power) != math.Float64bits(want.Power) {
+			t.Errorf("%v: nil windows power %v, n.Windows() power %v", ev, got.Power, want.Power)
+		}
 	}
 }
 

@@ -15,6 +15,7 @@ package service
 
 import (
 	"bytes"
+	"cmp"
 	"encoding/json"
 	"fmt"
 	"time"
@@ -226,38 +227,18 @@ func ParseJob(data []byte) (*Job, error) {
 			return nil, fmt.Errorf("service: job scenarios: %w", err)
 		}
 	}
-	switch spec.Robust {
-	case "", "minmax":
-		job.Kind = core.RobustMinimax
-	case "weighted":
-		job.Kind = core.RobustWeighted
-	default:
-		return nil, fmt.Errorf("service: unknown robust criterion %q (want minmax or weighted)", spec.Robust)
+	// Omitted enum fields take their documented defaults.
+	if job.Kind, err = core.ParseRobustKind(cmp.Or(spec.Robust, "minmax")); err != nil {
+		return nil, fmt.Errorf("service: %w", err)
 	}
 	if spec.Robust != "" && len(spec.Scenarios) == 0 {
 		return nil, fmt.Errorf("service: robust criterion given without scenarios")
 	}
-	switch spec.Evaluator {
-	case "", "sigma":
-		job.Evaluator = core.EvalSigmaMVA
-	case "schweitzer":
-		job.Evaluator = core.EvalSchweitzerMVA
-	case "linearizer":
-		job.Evaluator = core.EvalLinearizerMVA
-	case "exact":
-		job.Evaluator = core.EvalExactMVA
-	default:
-		return nil, fmt.Errorf("service: unknown evaluator %q", spec.Evaluator)
+	if job.Evaluator, err = core.ParseEvaluator(cmp.Or(spec.Evaluator, "sigma")); err != nil {
+		return nil, fmt.Errorf("service: %w", err)
 	}
-	switch spec.Objective {
-	case "", "power":
-		job.Objective = core.ObjNetworkPower
-	case "min-class":
-		job.Objective = core.ObjMinClassPower
-	case "sum-class":
-		job.Objective = core.ObjSumClassPower
-	default:
-		return nil, fmt.Errorf("service: unknown objective %q", spec.Objective)
+	if job.Objective, err = core.ParseObjective(cmp.Or(spec.Objective, "power")); err != nil {
+		return nil, fmt.Errorf("service: %w", err)
 	}
 	switch spec.Kind {
 	case "", "dimension":

@@ -325,13 +325,13 @@ func buildManifest(n *netmodel.Network, copts core.Options, opts *Options) (*Man
 	if err != nil {
 		return nil, err
 	}
-	evName, err := evaluatorName(copts.Evaluator)
+	evName, err := core.EvaluatorName(copts.Evaluator)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("shard: %w", err)
 	}
-	objName, err := objectiveName(copts.Objective)
+	objName, err := core.ObjectiveName(copts.Objective)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("shard: %w", err)
 	}
 	dim := len(n.Classes)
 	if dim == 0 {
@@ -955,11 +955,7 @@ func (c *coordinator) merge(n *netmodel.Network, copts core.Options) (*Result, e
 	c.res.Windows = best
 	c.res.BestValue = bestV
 
-	scanner, err := core.NewBoxScanner(n, copts)
-	if err != nil {
-		return nil, err
-	}
-	m, err := scanner.Metrics(best)
+	m, err := core.Evaluate(n, best, copts)
 	if err != nil {
 		return nil, err
 	}

@@ -12,6 +12,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"repro/internal/core"
 )
 
 func FuzzParseSlabResult(f *testing.F) {
@@ -88,10 +90,10 @@ func FuzzParseManifest(f *testing.F) {
 		if want != m.Hi[m.Axis]+1 {
 			t.Fatalf("accepted short slab cover: %+v", m.Slabs)
 		}
-		if _, err := parseEvaluator(m.Evaluator); err != nil {
+		if _, err := core.ParseEvaluator(m.Evaluator); err != nil {
 			t.Fatalf("accepted evaluator %q", m.Evaluator)
 		}
-		if _, err := parseObjective(m.Objective); err != nil {
+		if _, err := core.ParseObjective(m.Objective); err != nil {
 			t.Fatalf("accepted objective %q", m.Objective)
 		}
 	})

@@ -113,8 +113,9 @@ type Manifest struct {
 	Kind    string `json:"kind"`
 	// Network is the netmodel JSON spec of the network being dimensioned.
 	Network json.RawMessage `json:"network"`
-	// Evaluator and Objective are the CLI-canonical names (sigma,
-	// schweitzer, linearizer, exact; power, min-class, sum-class).
+	// Evaluator and Objective are core's wire names (sigma, schweitzer,
+	// linearizer, exact; power, min-class, sum-class), the ones the CLIs
+	// accept.
 	Evaluator   string `json:"evaluator"`
 	Objective   string `json:"objective"`
 	ExactEngine bool   `json:"exact_engine,omitempty"`
@@ -160,11 +161,11 @@ func ParseManifest(data []byte) (*Manifest, error) {
 	if len(m.Network) == 0 || string(m.Network) == "null" {
 		return nil, fmt.Errorf("shard: manifest has no network spec")
 	}
-	if _, err := parseEvaluator(m.Evaluator); err != nil {
-		return nil, err
+	if _, err := core.ParseEvaluator(m.Evaluator); err != nil {
+		return nil, fmt.Errorf("shard: %w", err)
 	}
-	if _, err := parseObjective(m.Objective); err != nil {
-		return nil, err
+	if _, err := core.ParseObjective(m.Objective); err != nil {
+		return nil, fmt.Errorf("shard: %w", err)
 	}
 	dim := len(m.Lo)
 	if dim == 0 || len(m.Hi) != dim {
@@ -214,13 +215,13 @@ func (m *Manifest) network() (*netmodel.Network, error) {
 
 // coreOptions reconstructs the evaluation options a worker runs with.
 func (m *Manifest) coreOptions() (core.Options, error) {
-	ev, err := parseEvaluator(m.Evaluator)
+	ev, err := core.ParseEvaluator(m.Evaluator)
 	if err != nil {
-		return core.Options{}, err
+		return core.Options{}, fmt.Errorf("shard: %w", err)
 	}
-	obj, err := parseObjective(m.Objective)
+	obj, err := core.ParseObjective(m.Objective)
 	if err != nil {
-		return core.Options{}, err
+		return core.Options{}, fmt.Errorf("shard: %w", err)
 	}
 	return core.Options{
 		Evaluator:       ev,
@@ -240,58 +241,6 @@ func (m *Manifest) slabBox(k int) (lo, hi numeric.IntVector) {
 	lo[m.Axis] = m.Slabs[k].From
 	hi[m.Axis] = m.Slabs[k].To
 	return lo, hi
-}
-
-func parseEvaluator(s string) (core.Evaluator, error) {
-	switch s {
-	case "sigma":
-		return core.EvalSigmaMVA, nil
-	case "schweitzer":
-		return core.EvalSchweitzerMVA, nil
-	case "linearizer":
-		return core.EvalLinearizerMVA, nil
-	case "exact":
-		return core.EvalExactMVA, nil
-	}
-	return 0, fmt.Errorf("shard: unknown evaluator %q", s)
-}
-
-func evaluatorName(e core.Evaluator) (string, error) {
-	switch e {
-	case core.EvalSigmaMVA:
-		return "sigma", nil
-	case core.EvalSchweitzerMVA:
-		return "schweitzer", nil
-	case core.EvalLinearizerMVA:
-		return "linearizer", nil
-	case core.EvalExactMVA:
-		return "exact", nil
-	}
-	return "", fmt.Errorf("shard: unserialisable evaluator %v", e)
-}
-
-func parseObjective(s string) (core.ObjectiveKind, error) {
-	switch s {
-	case "power":
-		return core.ObjNetworkPower, nil
-	case "min-class":
-		return core.ObjMinClassPower, nil
-	case "sum-class":
-		return core.ObjSumClassPower, nil
-	}
-	return 0, fmt.Errorf("shard: unknown objective %q", s)
-}
-
-func objectiveName(o core.ObjectiveKind) (string, error) {
-	switch o {
-	case core.ObjNetworkPower:
-		return "power", nil
-	case core.ObjMinClassPower:
-		return "min-class", nil
-	case core.ObjSumClassPower:
-		return "sum-class", nil
-	}
-	return "", fmt.Errorf("shard: unserialisable objective %v", o)
 }
 
 // SlabResult is one slab's final optimum, written durably by the worker

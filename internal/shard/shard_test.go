@@ -174,6 +174,8 @@ func TestParseManifestRejects(t *testing.T) {
 		"no network":    mutate(func(m *Manifest) { m.Network = nil }),
 		"bad evaluator": mutate(func(m *Manifest) { m.Evaluator = "vibes" }),
 		"bad objective": mutate(func(m *Manifest) { m.Objective = "vibes" }),
+		"no evaluator":  mutate(func(m *Manifest) { m.Evaluator = "" }),
+		"no objective":  mutate(func(m *Manifest) { m.Objective = "" }),
 		"dim mismatch":  mutate(func(m *Manifest) { m.Hi = m.Hi[:1] }),
 		"axis range":    mutate(func(m *Manifest) { m.Axis = 7 }),
 		"no slabs":      mutate(func(m *Manifest) { m.Slabs = nil }),
