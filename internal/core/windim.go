@@ -208,11 +208,12 @@ type Options struct {
 	MaxHalvings int
 	// Workers parallelises candidate evaluation across goroutines: the
 	// exhaustive search splits its box across Workers, and the pattern
-	// search evaluates each pass's exploratory probes speculatively in
-	// parallel while committing accepts in serial order, so its trajectory
-	// (windows, evaluations, cache behaviour) is identical to the serial
-	// run. Analytic evaluations are pure functions of the candidate, so
-	// both are safe. <= 1 is serial.
+	// search evaluates each pass's exploratory probes on Workers
+	// goroutines ahead of its serial replay, in the replay's order and
+	// about its current point, while committing accepts in serial order,
+	// so its trajectory (windows, evaluations, cache behaviour) is
+	// identical to the serial run. Analytic evaluations are pure functions
+	// of the candidate, so both are safe. <= 1 is serial.
 	Workers int
 	// ExactEngine routes exact evaluations — the EvalExactMVA primary
 	// path and the TierExact stage of the resilient fallback chain —

@@ -18,6 +18,7 @@ import (
 	"fmt"
 	"math"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/durable"
 	"repro/internal/numeric"
@@ -49,16 +50,20 @@ type Options struct {
 	// bound applies to the committed serial trajectory: discarded
 	// speculative probes call the objective without consuming budget.
 	MaxEvaluations int
-	// Workers > 1 enables speculative-parallel exploration: the up-to-2R
-	// exploratory probes of each pass are evaluated concurrently by at
-	// most Workers goroutines, then acceptance decisions replay in exact
-	// serial order against the speculative results. The objective must be
-	// safe for concurrent calls and a pure function of its argument; in
-	// return the search trajectory — Best, BestValue, BasePoints,
-	// Evaluations, CacheHits, and the memo-cache contents — is
-	// bit-identical to the serial search. Probes the serial order never
-	// reaches are wasted objective calls (the price of speculation); their
-	// values, and any errors they return, are discarded. <= 1 is serial.
+	// Workers > 1 enables speculative-parallel exploration: Workers
+	// goroutines evaluate each pass's exploratory probes ahead of the
+	// serial replay, in the replay's own order and about its current
+	// point, at most Workers at a time, and every accepted move restarts
+	// them about the moved point. Acceptance decisions replay in exact
+	// serial order against the results. The objective must be safe for
+	// concurrent calls and a pure function of its argument; in return the
+	// search trajectory — Best, BestValue, BasePoints, Evaluations,
+	// CacheHits, and the memo-cache contents — is bit-identical to the
+	// serial search, and the objective never runs more than Workers calls
+	// at once. Probes an accepted move abandons after they started are
+	// wasted objective calls (the price of speculation), at most
+	// Workers−1 per accepted move or aborted pass; their values, and any
+	// errors they return, are discarded. <= 1 is serial.
 	Workers int
 	// OnCommit, when non-nil, is invoked serially each time the search
 	// commits a new base point (including the clamped start point), with a
@@ -155,7 +160,7 @@ type searcher struct {
 	opts   Options
 	cache  map[string]float64
 	result *Result
-	sem    chan struct{} // nil when serial; bounds speculative goroutines
+	la     *lookahead // nil when serial
 
 	// Snapshot state for checkpointing, maintained by Search's main loop.
 	ckpt     *CheckpointOptions
@@ -175,27 +180,178 @@ type searcher struct {
 	aux     json.RawMessage
 }
 
-// future is one speculative objective evaluation in flight.
-type future struct {
-	done chan struct{}
+// lookahead evaluates a pass's exploratory probes ahead of the serial
+// replay, on width long-lived workers. The replay keeps each improving move
+// as soon as it finds it, so the lookahead issues probes lazily, in the
+// replay's order, about the replay's current point — one generation — with
+// at most width of them out at once. An accepted move starts a new
+// generation about the moved point at the next coordinate and abandons the
+// older one; a worker skips an abandoned probe it has not started. No
+// commit happens inside a pass, so every probe of a pass solves from the
+// same warm seed, and a worker's value is the one the replay would compute.
+type lookahead struct {
+	s     *searcher
+	width int
+	work  chan *probe // issued probes; holds every slot, so a send never blocks
+	gen   atomic.Uint64
+	wg    sync.WaitGroup
+
+	// The slots, each in exactly one list or in the replay's hands.
+	free  []*probe // held by no worker
+	queue []*probe // the current generation's issued probes, in replay order
+	stale []*probe // abandoned, possibly still held by a worker; oldest first
+
+	// The generator: the current generation probes base ± step from
+	// coordinate next/2 on, + at even next and − at odd.
+	base numeric.IntVector
+	step numeric.IntVector
+	next int
+}
+
+// probe is one reusable lookahead slot.
+type probe struct {
+	x    numeric.IntVector // the objective's private copy of the point
+	key  string
+	gen  uint64
 	v    float64
 	err  error
+	done chan struct{} // signalled once per issue, when the worker lets go
 }
 
-// speculation holds the in-flight exploratory probes of one pass.
-type speculation struct {
-	futures map[string]*future
-	wg      sync.WaitGroup
-}
-
-// wait blocks until every speculative goroutine of the pass has finished,
-// consumed or not. explore defers it so that no objective call is in
-// flight when the pass returns — the barrier OnCommit's contract (and
-// core.Engine's warm-seed promotion) relies on.
-func (sp *speculation) wait() {
-	if sp != nil {
-		sp.wg.Wait()
+// newLookahead starts width workers with 2×width slots: width for the
+// current generation, the rest for abandoned probes still being run or
+// skipped.
+func newLookahead(s *searcher, width, dim int) *lookahead {
+	la := &lookahead{
+		s:     s,
+		width: width,
+		work:  make(chan *probe, 2*width),
+		free:  make([]*probe, 2*width),
+		queue: make([]*probe, 0, 2*width),
+		stale: make([]*probe, 0, 2*width),
+		base:  numeric.NewIntVector(dim),
 	}
+	slots := make([]probe, 2*width)
+	for i := range slots {
+		slots[i].done = make(chan struct{}, 1)
+		la.free[i] = &slots[i]
+	}
+	la.wg.Add(width)
+	for range width {
+		go la.run()
+	}
+	return la
+}
+
+func (la *lookahead) run() {
+	defer la.wg.Done()
+	for p := range la.work {
+		if p.gen == la.gen.Load() {
+			p.v, p.err = la.s.obj(p.x)
+		}
+		p.done <- struct{}{}
+	}
+}
+
+// stop ends the workers and returns once they have exited. No probe may
+// be outstanding: explore drains every pass.
+func (la *lookahead) stop() {
+	close(la.work)
+	la.wg.Wait()
+}
+
+// restart abandons the outstanding probes and starts a generation about x
+// at coordinate i. A nil lookahead (the serial search) does nothing.
+func (la *lookahead) restart(x, step numeric.IntVector, i int) {
+	if la == nil {
+		return
+	}
+	la.abandon()
+	copy(la.base, x)
+	la.step = step
+	la.next = 2 * i
+}
+
+func (la *lookahead) abandon() {
+	la.gen.Add(1)
+	la.stale = append(la.stale, la.queue...)
+	la.queue = la.queue[:0]
+}
+
+// drain abandons the outstanding probes and waits until no worker holds a
+// slot, so no objective call is in flight when a pass returns — the
+// barrier OnCommit's contract (and core.Engine's warm-seed promotion)
+// relies on. A nil lookahead does nothing.
+func (la *lookahead) drain() {
+	if la == nil {
+		return
+	}
+	la.abandon()
+	for _, p := range la.stale {
+		<-p.done
+		la.free = append(la.free, p)
+	}
+	la.stale = la.stale[:0]
+}
+
+// fill issues the current generation's next probes until width are out or
+// the pass has none left. Points outside the box or already memoised are
+// skipped — the replay answers those without calling the objective. The
+// WHOLE probe is box-checked, not just the perturbed coordinate: a
+// pattern-move base can itself sit outside the box, and its out-of-box
+// neighbours must never reach the objective — the serial replay answers
+// them +Inf, and an objective with side effects on failure (scenario
+// degradation in core.DimensionRobust) must not observe points the serial
+// search would never feed it.
+func (la *lookahead) fill() {
+	for len(la.queue) < la.width && la.next < 2*len(la.base) {
+		i, d := la.next/2, la.step[la.next/2]
+		if la.next%2 == 1 {
+			d = -d
+		}
+		la.next++
+		la.base[i] += d
+		if la.s.inBox(la.base) {
+			key := la.base.Key()
+			if _, ok := la.s.cache[key]; !ok {
+				p := la.slot()
+				p.x, p.key, p.gen = la.base.Clone(), key, la.gen.Load()
+				la.queue = append(la.queue, p)
+				la.work <- p
+			}
+		}
+		la.base[i] -= d
+	}
+}
+
+// slot returns a free slot, waiting for the oldest abandoned probe when
+// none is. At most width-1 slots are queued when fill asks, so a free or
+// abandoned slot always exists.
+func (la *lookahead) slot() *probe {
+	if n := len(la.free); n > 0 {
+		p := la.free[n-1]
+		la.free = la.free[:n-1]
+		return p
+	}
+	p := la.stale[0]
+	la.stale = la.stale[:copy(la.stale, la.stale[1:])]
+	<-p.done
+	return p
+}
+
+// take returns the objective at the replay's next fresh probe, whose key
+// is key: the head of the queue, since fill skips exactly the points the
+// replay answers without calling the objective.
+func (la *lookahead) take(key string) (float64, error) {
+	la.fill()
+	p := la.queue[0]
+	if p.key != key {
+		panic("pattern: lookahead out of step with the replay at " + key)
+	}
+	la.queue = la.queue[:copy(la.queue, la.queue[1:])]
+	<-p.done
+	la.free = append(la.free, p)
+	return p.v, p.err
 }
 
 // inBox reports whether x lies inside the [Lo, Hi] search box.
@@ -208,51 +364,12 @@ func (s *searcher) inBox(x numeric.IntVector) bool {
 	return true
 }
 
-// speculate launches the up-to-2R exploratory probes about x concurrently.
-// Points outside the box or already memoised are skipped — the serial
-// replay answers those without calling the objective. The WHOLE probe is
-// box-checked, not just the perturbed coordinate: a pattern-move base can
-// itself sit outside the box, and its out-of-box neighbours must never
-// reach the objective — the serial replay answers them +Inf, and an
-// objective with side effects on failure (scenario degradation in
-// core.DimensionRobust) must not observe points the serial search would
-// never feed it.
-func (s *searcher) speculate(x numeric.IntVector, step numeric.IntVector) *speculation {
-	sp := &speculation{futures: make(map[string]*future, 2*len(x))}
-	for i := range x {
-		for _, dir := range [2]int{1, -1} {
-			p := x.Clone()
-			p[i] += dir * step[i]
-			if !s.inBox(p) {
-				continue
-			}
-			key := p.Key()
-			if _, ok := s.cache[key]; ok {
-				continue
-			}
-			if _, ok := sp.futures[key]; ok {
-				continue
-			}
-			f := &future{done: make(chan struct{})}
-			sp.futures[key] = f
-			sp.wg.Add(1)
-			go func(p numeric.IntVector, f *future) {
-				defer sp.wg.Done()
-				defer close(f.done)
-				s.sem <- struct{}{}
-				defer func() { <-s.sem }()
-				f.v, f.err = s.obj(p)
-			}(p, f)
-		}
-	}
-	return sp
-}
-
 // eval returns the (memoised) objective at x; out-of-box points are +Inf
-// and never reach the objective. When sp carries a speculative result for
-// x it is consumed in place of a fresh objective call; budget accounting
-// and cache insertion happen exactly as in the serial search.
-func (s *searcher) eval(x numeric.IntVector, sp *speculation) (float64, error) {
+// and never reach the objective. Inside an exploratory pass of a parallel
+// search (la non-nil) the value comes from the lookahead instead of a
+// fresh objective call; budget accounting and cache insertion happen
+// exactly as in the serial search.
+func (s *searcher) eval(x numeric.IntVector, la *lookahead) (float64, error) {
 	if ctx := s.opts.Context; ctx != nil {
 		if err := ctx.Err(); err != nil {
 			return 0, fmt.Errorf("pattern: search cancelled: %w", err)
@@ -272,13 +389,8 @@ func (s *searcher) eval(x numeric.IntVector, sp *speculation) (float64, error) {
 	s.result.Evaluations++
 	var v float64
 	var err error
-	if sp != nil {
-		if f, ok := sp.futures[key]; ok {
-			<-f.done
-			v, err = f.v, f.err
-		} else {
-			v, err = s.obj(x.Clone())
-		}
+	if la != nil {
+		v, err = la.take(key)
 	} else {
 		v, err = s.obj(x.Clone())
 	}
@@ -312,34 +424,34 @@ func (s *searcher) commit(x numeric.IntVector, fx float64) error {
 // explore performs one exploratory pass about x (value fx): each
 // coordinate in turn is increased then decreased by its step, keeping any
 // strict improvement. It returns the final point and value. With Workers
-// > 1 the pass's probes are evaluated speculatively in parallel first;
-// the serial loop below then replays acceptance decisions against the
-// speculative results, so the trajectory is identical to the serial pass.
+// > 1 the lookahead evaluates the pass's probes ahead of this loop, which
+// consumes them in serial order and restarts the lookahead about every
+// accepted move, so the trajectory is identical to the serial pass.
 func (s *searcher) explore(x numeric.IntVector, fx float64, step numeric.IntVector) (numeric.IntVector, float64, error) {
-	var sp *speculation
-	if s.sem != nil {
-		sp = s.speculate(x, step)
-		defer sp.wait()
-	}
+	la := s.la
+	defer la.drain()
 	cur := x.Clone()
+	la.restart(cur, step, 0)
 	for i := range cur {
 		orig := cur[i]
 		cur[i] = orig + step[i]
-		fp, err := s.eval(cur, sp)
+		fp, err := s.eval(cur, la)
 		if err != nil {
 			return nil, 0, err
 		}
 		if fp < fx {
 			fx = fp
+			la.restart(cur, step, i+1)
 			continue
 		}
 		cur[i] = orig - step[i]
-		fm, err := s.eval(cur, sp)
+		fm, err := s.eval(cur, la)
 		if err != nil {
 			return nil, 0, err
 		}
 		if fm < fx {
 			fx = fm
+			la.restart(cur, step, i+1)
 			continue
 		}
 		cur[i] = orig
@@ -370,8 +482,10 @@ func Search(obj Objective, start numeric.IntVector, opts Options) (*Result, erro
 			s.log.Close()
 		}
 	}()
-	if opts.Workers > 1 {
-		s.sem = make(chan struct{}, opts.Workers)
+	// A pass has at most 2R fresh probes, so more workers would idle.
+	if w := min(opts.Workers, 2*len(start)); w > 1 {
+		s.la = newLookahead(s, w, len(start))
+		defer s.la.stop()
 	}
 	if rc := opts.Resume; rc != nil {
 		if rc.Dim != len(start) {

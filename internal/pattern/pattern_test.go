@@ -77,6 +77,32 @@ func TestSearchRespectsBounds(t *testing.T) {
 	if !res2.Best.Equal(numeric.IntVector{5, 5}) {
 		t.Errorf("Best = %v, want (5,5)", res2.Best)
 	}
+	// A dimension with Lo == Hi is a legal box of width one, held fixed.
+	res3, err := Search(quadratic(4, 3), numeric.IntVector{2, 3},
+		Options{Lo: numeric.IntVector{1, 3}, Hi: numeric.IntVector{9, 3}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !res3.Best.Equal(numeric.IntVector{4, 3}) {
+		t.Errorf("Best = %v, want (4,3)", res3.Best)
+	}
+}
+
+// TestSearchStopsAfterMaxHalvings: on a flat objective every pass fails,
+// so the search makes the start evaluation plus two fresh probes in each
+// of MaxHalvings+1 passes (steps 8, 4, 2 from 20), then stops.
+func TestSearchStopsAfterMaxHalvings(t *testing.T) {
+	flat := func(numeric.IntVector) (float64, error) { return 1, nil }
+	for _, c := range []struct{ halvings, evals int }{{2, 7}, {-1, 3}} {
+		res, err := Search(flat, numeric.IntVector{20},
+			Options{InitialStep: numeric.IntVector{8}, MaxHalvings: c.halvings})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Evaluations != c.evals {
+			t.Errorf("MaxHalvings %d: %d evaluations, want %d", c.halvings, res.Evaluations, c.evals)
+		}
+	}
 }
 
 func TestSearchClampsStart(t *testing.T) {

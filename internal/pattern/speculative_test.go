@@ -3,13 +3,78 @@ package pattern
 import (
 	"context"
 	"errors"
+	"fmt"
+	"maps"
+	"math"
+	"path/filepath"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"testing/quick"
+	"time"
 
 	"repro/internal/numeric"
 )
+
+// sameTrajectory runs the search serially and at each worker count, and
+// returns the first difference in what the parallel search must keep
+// bit-identical: Best, the bits of BestValue, Evaluations, CacheHits,
+// BasePoints and the memo cache, read back from the final checkpoint.
+func sameTrajectory(dir string, obj Objective, start numeric.IntVector, opts Options, workers ...int) error {
+	run := func(w int) (*Result, map[string]JSONFloat, error) {
+		o := opts
+		o.Workers = w
+		path := filepath.Join(dir, fmt.Sprintf("w%d.ckpt", w))
+		o.Checkpoint = &CheckpointOptions{Path: path, Every: math.MaxInt}
+		res, err := Search(obj, start, o)
+		if err != nil {
+			return nil, nil, err
+		}
+		ck, err := LoadCheckpoint(path)
+		if err != nil {
+			return nil, nil, err
+		}
+		return res, ck.Visited, nil
+	}
+	serial, cache, err := run(1)
+	if err != nil {
+		return err
+	}
+	for _, w := range workers {
+		par, parCache, err := run(w)
+		switch {
+		case err != nil:
+			return fmt.Errorf("workers=%d: %w", w, err)
+		case !par.Best.Equal(serial.Best) || math.Float64bits(par.BestValue) != math.Float64bits(serial.BestValue):
+			return fmt.Errorf("workers=%d: best %v (%v), serial %v (%v)", w, par.Best, par.BestValue, serial.Best, serial.BestValue)
+		case par.Evaluations != serial.Evaluations || par.CacheHits != serial.CacheHits:
+			return fmt.Errorf("workers=%d: %d evaluations and %d cache hits, serial %d and %d",
+				w, par.Evaluations, par.CacheHits, serial.Evaluations, serial.CacheHits)
+		case !slices.EqualFunc(par.BasePoints, serial.BasePoints, numeric.IntVector.Equal):
+			return fmt.Errorf("workers=%d: base points %v, serial %v", w, par.BasePoints, serial.BasePoints)
+		case !maps.Equal(parCache, cache):
+			return fmt.Errorf("workers=%d: memo cache of %d points, serial %d", w, len(parCache), len(cache))
+		}
+	}
+	return nil
+}
+
+// separable24 is a 24-class separable quadratic about c = 10, started at
+// c − 1 in every coordinate. Its serial search makes separable24Evals
+// evaluations in separable24Passes exploratory passes with
+// separable24Accepts accepted moves, so most probes of a pass are taken
+// about a point the pass has already moved.
+func separable24() (Objective, numeric.IntVector) {
+	centre := make([]int, 24)
+	start := numeric.NewIntVector(24)
+	for i := range start {
+		centre[i], start[i] = 10, 9
+	}
+	return quadratic(centre...), start
+}
+
+const separable24Evals, separable24Passes, separable24Accepts = 119, 5, 48
 
 func TestParallelTrajectoryEqualsSerial(t *testing.T) {
 	f := func(seed int64) bool {
@@ -26,34 +91,66 @@ func TestParallelTrajectoryEqualsSerial(t *testing.T) {
 			return dx*dx + 2*dy*dy + 0.5*dz*dz + 0.25*dx*dy, nil
 		}
 		opts := Options{Hi: numeric.IntVector{20, 20, 20}, InitialStep: numeric.IntVector{4, 4, 4}, MaxHalvings: 3}
-		serial, err := Search(obj, numeric.IntVector{1, 1, 1}, opts)
-		if err != nil {
+		if err := sameTrajectory(t.TempDir(), obj, numeric.IntVector{1, 1, 1}, opts, 2, 4, 8); err != nil {
+			t.Log(err)
 			return false
-		}
-		for _, w := range []int{2, 4, 8} {
-			po := opts
-			po.Workers = w
-			par, err := Search(obj, numeric.IntVector{1, 1, 1}, po)
-			if err != nil {
-				return false
-			}
-			// The determinism guarantee covers the full trajectory, cache
-			// accounting included.
-			if !par.Best.Equal(serial.Best) || par.BestValue != serial.BestValue ||
-				par.Evaluations != serial.Evaluations || par.CacheHits != serial.CacheHits ||
-				len(par.BasePoints) != len(serial.BasePoints) {
-				return false
-			}
-			for i := range serial.BasePoints {
-				if !par.BasePoints[i].Equal(serial.BasePoints[i]) {
-					return false
-				}
-			}
 		}
 		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 25}); err != nil {
 		t.Error(err)
+	}
+	// Every accepted move of the first pass restarts the lookahead.
+	obj, start := separable24()
+	if err := sameTrajectory(t.TempDir(), obj, start, Options{}, 2, 3, 8); err != nil {
+		t.Errorf("separable24: %v", err)
+	}
+}
+
+// TestSpeculationConcurrencyBound: only the lookahead's workers call the
+// objective inside a pass, so at most Workers calls are ever in flight.
+func TestSpeculationConcurrencyBound(t *testing.T) {
+	inner, start := separable24()
+	for _, w := range []int{2, 3} {
+		var inFlight, peak atomic.Int32
+		obj := func(x numeric.IntVector) (float64, error) {
+			n := inFlight.Add(1)
+			defer inFlight.Add(-1)
+			for p := peak.Load(); n > p && !peak.CompareAndSwap(p, n); p = peak.Load() {
+			}
+			time.Sleep(200 * time.Microsecond)
+			return inner(x)
+		}
+		if _, err := Search(obj, start, Options{Workers: w}); err != nil {
+			t.Fatal(err)
+		}
+		if p := peak.Load(); p > int32(w) {
+			t.Errorf("workers=%d: %d objective calls in flight at once", w, p)
+		}
+	}
+}
+
+// TestSpeculationWasteBound: an accepted move abandons at most Workers−1
+// probes of its generation, so the calls the replay never consumes are
+// bounded by (Workers−1) × (passes + accepted moves).
+func TestSpeculationWasteBound(t *testing.T) {
+	const w = 2
+	inner, start := separable24()
+	var calls atomic.Int64
+	obj := func(x numeric.IntVector) (float64, error) {
+		calls.Add(1)
+		return inner(x)
+	}
+	res, err := Search(obj, start, Options{Workers: w})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Evaluations != separable24Evals {
+		t.Fatalf("%d evaluations, the serial search makes %d", res.Evaluations, separable24Evals)
+	}
+	bound := (w - 1) * (separable24Passes + separable24Accepts)
+	if waste := int(calls.Load()) - res.Evaluations; waste > bound {
+		t.Errorf("%d objective calls for %d evaluations: %d wasted, bound %d", calls.Load(), res.Evaluations, waste, bound)
 	}
 }
 

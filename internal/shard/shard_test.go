@@ -3,6 +3,7 @@ package shard
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"math"
 	"os"
 	"path/filepath"
@@ -514,5 +515,25 @@ func TestShardedExactEngineMatches(t *testing.T) {
 	}
 	if got, want := res.Evaluations, base.Search.Evaluations; got != want {
 		t.Fatalf("merged evaluations %d, baseline %d", got, want)
+	}
+}
+
+// TestAcquireLeaseFencesEqualEpoch: a launch may claim a slab only with an
+// epoch newer than the holder's. A second claim at the holder's own epoch
+// is fenced, and the lease file keeps the first owner.
+func TestAcquireLeaseFencesEqualEpoch(t *testing.T) {
+	dir, hash := t.TempDir(), Hash([]byte("manifest"))
+	if _, err := acquireLease(dir, 0, hash, 3, "first", time.Second); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := acquireLease(dir, 0, hash, 3, "second", time.Second); !errors.Is(err, ErrFenced) {
+		t.Fatalf("second claim at epoch 3: %v, want ErrFenced", err)
+	}
+	l, err := readLease(dir, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if l.Owner != "first" || l.Epoch != 3 {
+		t.Errorf("lease held by %q at epoch %d, want \"first\" at 3", l.Owner, l.Epoch)
 	}
 }
