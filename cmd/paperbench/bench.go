@@ -211,9 +211,10 @@ func runJSONBench(path string, opts core.Options) error {
 
 	// amva_sparse: one warm engine candidate evaluation (the dimensioning
 	// inner loop) on networks of increasing station count but fixed route
-	// lengths. With the sparse station-major solver the ns/op column grows
-	// with total route length, not station count — mesh64 vs mesh256
-	// quadruples the stations at an identical chain count.
+	// lengths. The solver's state and the objective's power read both walk
+	// the compiled visit lists, so the ns/op column grows with total route
+	// length, not station count — mesh64 vs mesh256 quadruples the
+	// stations at an identical chain count.
 	sparseNets := []struct {
 		name string
 		n    *netmodel.Network

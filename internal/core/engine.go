@@ -291,7 +291,7 @@ func (e *Engine) EvaluateWithTier(windows numeric.IntVector) (*power.Metrics, Fa
 		return nil, tier, err
 	}
 	m := &power.Metrics{}
-	if err := power.FromSolutionInto(m, &st.model, sol, e.excluded); err != nil {
+	if err := power.FromSolutionInto(m, e.sparse, sol, e.excluded); err != nil {
 		return nil, tier, err
 	}
 	return m, tier, nil
@@ -308,7 +308,7 @@ func (e *Engine) ObjectiveValue(windows numeric.IntVector, kind ObjectiveKind) (
 	if err != nil {
 		return 0, err
 	}
-	if err := power.FromSolutionInto(&st.metrics, &st.model, sol, e.excluded); err != nil {
+	if err := power.FromSolutionInto(&st.metrics, e.sparse, sol, e.excluded); err != nil {
 		return 0, err
 	}
 	return objectiveValue(&st.metrics, kind), nil

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 
-	"repro/internal/numeric"
 	"repro/internal/qnet"
 )
 
@@ -164,11 +163,11 @@ var ErrNotConverged = errors.New("mva: approximate MVA did not converge")
 // zero throughput.
 //
 // The fixed-point sweeps iterate the network's compiled sparse visit lists
-// (qnet.Sparse), so a sweep costs O(total route length) instead of
-// O(stations × chains); on the window flow-control models, where each
-// chain visits only its route's few stations, that is the difference
-// between per-candidate cost scaling with the network and scaling with the
-// routes. The sparse iteration visits exactly the dense loops' non-zero
+// (qnet.Sparse) and keep their state per visit-list entry (see Workspace),
+// so a sweep costs O(total route length) instead of O(stations × chains);
+// on the window flow-control models, where each chain visits only its
+// route's few stations, that is the difference between per-candidate cost
+// scaling with the network and scaling with the routes. The sparse iteration visits exactly the dense loops' non-zero
 // terms in the dense loops' order, so results are bit-identical to a dense
 // evaluation.
 func Approximate(net *qnet.Network, opts Options) (*Solution, error) {
@@ -219,16 +218,15 @@ func Approximate(net *qnet.Network, opts Options) (*Solution, error) {
 		if !active[r] {
 			continue
 		}
-		ch := &net.Chains[r]
-		if warm != nil && seedChainFromWarm(warm, sp, r, ch.Population, q, lam) {
-			continue
-		}
-		if err := coldSeedChain(ch, sp, r, opts.Init, q, lam); err != nil {
+		l, _, err := seedChain(sp, r, net.Chains[r].Population, opts.Init, warm, q)
+		if err != nil {
 			return nil, err
 		}
+		lam[r] = l
 	}
 
-	t, sigma := ws.t, ws.sigma
+	t, sigma, totQ, prev := ws.t, ws.sigma, ws.totQ, ws.prev
+	damp, keep := opts.Damping, 1-opts.Damping
 	for iter := 1; iter <= opts.MaxIter; iter++ {
 		if err := sweepGate(&opts, iter); err != nil {
 			return nil, err
@@ -242,70 +240,55 @@ func Approximate(net *qnet.Network, opts Options) (*Solution, error) {
 				}
 				inv := 1 / float64(net.Chains[r].Population)
 				for e := sp.ChainPtr[r]; e < sp.ChainPtr[r+1]; e++ {
-					i := int(sp.EntStation[e])
-					sigma.Set(i, r, q.At(i, r)*inv)
+					sigma[e] = q[e] * inv
 				}
 			}
 		default: // SigmaHeuristic
-			if err := sigmaFromSingleChains(ws, net, sp, active, lam, sigma); err != nil {
-				return nil, err
-			}
+			sigmaFromSingleChains(ws, net, sp, active)
 		}
-		// STEP 3: queue times t_ir = s_ir (1 + sum_j N_ij - sigma_ir).
-		// The per-station totals do not change within the step, so they
-		// are accumulated once per sweep from the station-major transpose
+		// The per-station totals sum_j N_ij do not change within the sweep,
+		// so they are accumulated once from the station-major transpose
 		// (chains ascending — the dense summation order) instead of per
 		// (station, chain) pair.
-		totQ := ws.totQ
 		for i := 0; i < nSt; i++ {
 			if sp.IsIS[i] {
 				continue
 			}
 			total := 0.0
 			for m := sp.StatPtr[i]; m < sp.StatPtr[i+1]; m++ {
-				total += q.At(i, int(sp.StatChain[m]))
+				total += q[sp.StatEntry[m]]
 			}
 			totQ[i] = total
 		}
-		for r := 0; r < nCh; r++ {
-			if !active[r] {
-				continue
-			}
-			for e := sp.ChainPtr[r]; e < sp.ChainPtr[r+1]; e++ {
-				i := int(sp.EntStation[e])
-				if sp.EntIS[e] {
-					t.Set(i, r, sp.EntServ[e])
-					continue
-				}
-				seen := totQ[i] - sigma.At(i, r)
-				if seen < 0 {
-					seen = 0
-				}
-				t.Set(i, r, sp.EntServ[e]*(1+seen))
-			}
-		}
-		// STEP 4: Little for chains.
-		prev := ws.prev
+		// STEPs 3–5 chain by chain: queue times t_ir = s_ir (1 + sum_j N_ij
+		// - sigma_ir), Little for the chain, then Little for its queues,
+		// with optional damping. They read only the totals, sigma and the
+		// chain's own state, all fixed for the sweep, so running them per
+		// chain keeps every sum in its dense order.
 		copy(prev, lam)
 		for r := 0; r < nCh; r++ {
 			if !active[r] {
 				continue
 			}
+			lo, hi := sp.ChainPtr[r], sp.ChainPtr[r+1]
 			denom := 0.0
-			for e := sp.ChainPtr[r]; e < sp.ChainPtr[r+1]; e++ {
-				denom += sp.EntVisit[e] * t.At(int(sp.EntStation[e]), r)
+			for e := lo; e < hi; e++ {
+				ti := sp.EntServ[e]
+				if !sp.EntIS[e] {
+					seen := totQ[sp.EntStation[e]] - sigma[e]
+					if seen < 0 {
+						seen = 0
+					}
+					ti = sp.EntServ[e] * (1 + seen)
+				}
+				t[e] = ti
+				denom += sp.EntVisit[e] * ti
 			}
-			lam[r] = float64(net.Chains[r].Population) / denom
-		}
-		// STEP 5: Little for queues, with optional damping.
-		for r := 0; r < nCh; r++ {
-			if !active[r] {
-				continue
-			}
-			for e := sp.ChainPtr[r]; e < sp.ChainPtr[r+1]; e++ {
-				i := int(sp.EntStation[e])
-				next := lam[r] * sp.EntVisit[e] * t.At(i, r)
-				q.Set(i, r, opts.Damping*next+(1-opts.Damping)*q.At(i, r))
+			l := float64(net.Chains[r].Population) / denom
+			lam[r] = l
+			for e := lo; e < hi; e++ {
+				next := l * sp.EntVisit[e] * t[e]
+				q[e] = damp*next + keep*q[e]
 			}
 		}
 		// STEP 6: stopping condition.
@@ -316,8 +299,8 @@ func Approximate(net *qnet.Network, opts Options) (*Solution, error) {
 			for r := 0; r < nCh; r++ {
 				for e := sp.ChainPtr[r]; e < sp.ChainPtr[r+1]; e++ {
 					i := int(sp.EntStation[e])
-					sol.QueueTime.Set(i, r, t.At(i, r))
-					sol.QueueLen.Set(i, r, q.At(i, r))
+					sol.QueueTime.Set(i, r, t[e])
+					sol.QueueLen.Set(i, r, q[e])
 				}
 			}
 			return sol, nil
@@ -327,66 +310,38 @@ func Approximate(net *qnet.Network, opts Options) (*Solution, error) {
 		ErrNotConverged, opts.MaxIter, opts.Method, opts.Tol)
 }
 
-// coldSeedChain applies the Init rule (eqs. 4.16–4.17) to chain r and
-// seeds its throughput with population over pure service demand (the APL
-// program's initialisation). A chain with no positive-demand station
-// cannot be placed — the Bottleneck rule used to index q with -1 and
-// panic — so both rules reject it with a validation error.
-func coldSeedChain(ch *qnet.Chain, sp *qnet.Sparse, r int, init Initialization, q *numeric.Matrix, lam numeric.Vector) error {
-	lo, hi := sp.ChainPtr[r], sp.ChainPtr[r+1]
-	switch init {
-	case Bottleneck:
-		best, at := -1.0, -1
-		for e := lo; e < hi; e++ {
-			if sp.EntDemand[e] > best {
-				best, at = sp.EntDemand[e], int(sp.EntStation[e])
-			}
-		}
-		if at < 0 {
-			return fmt.Errorf("mva: chain %d (%s) has no station with positive visits and demand; cannot initialise", r, ch.Name)
-		}
-		q.Set(at, r, float64(ch.Population))
-	default: // Balanced
-		if hi == lo {
-			return fmt.Errorf("mva: chain %d (%s) has no station with positive visits and demand; cannot initialise", r, ch.Name)
-		}
-		share := float64(ch.Population) / float64(hi-lo)
-		for e := lo; e < hi; e++ {
-			q.Set(int(sp.EntStation[e]), r, share)
-		}
-	}
-	lam[r] = float64(ch.Population) / sp.DemandSum[r]
-	return nil
-}
-
-// sigmaFromSingleChains fills sigma.At(i, r) with the thesis's heuristic
-// estimate: isolate chain r into a single-chain network whose service
-// times are inflated by the other chains' utilisation at each station,
-// s'_ri = s_ri / (1 - rho_{-r,i}), run exact single-chain MVA up to E_r,
-// and take σ_ir = N_i(E_r) - N_i(E_r - 1) (eq. 4.12). For other chains
-// σ_ij(r-) is taken as zero (eq. 4.11), which STEP 3 realises by
-// subtracting sigma only for the arriving chain.
+// sigmaFromSingleChains fills sigma[e] for every entry of the active
+// chains with the thesis's heuristic estimate: isolate chain r into a
+// single-chain network whose service times are inflated by the other
+// chains' utilisation at each station, s'_ri = s_ri / (1 - rho_{-r,i}),
+// run exact single-chain MVA up to E_r, and take σ_ir = N_i(E_r) -
+// N_i(E_r - 1) (eq. 4.12). For other chains σ_ij(r-) is taken as zero
+// (eq. 4.11), which STEP 3 realises by subtracting sigma only for the
+// arriving chain.
 //
-// The other chains' utilisation at a station is read off the station-major
-// transpose (only the chains actually visiting the station contribute, via
-// the precompiled demand array), and the recursion runs through the
-// workspace's per-chain incremental curve cache: sweeps whose inflated
-// service times are unchanged (always true for single-chain networks,
-// whose sub-problem has no inflation) reuse the cached populations instead
-// of recomputing from 1.
-func sigmaFromSingleChains(ws *Workspace, net *qnet.Network, sp *qnet.Sparse, active []bool, lam numeric.Vector, sigma *numeric.Matrix) error {
-	nCh := sp.NCh
+// The products λ_j·D_ij are formed once per sweep, one per transpose slot.
+// The other chains' utilisation at entry e's station is then the sum of
+// the station's slots on either side of e's own (EntTrans[e]): the same
+// terms in the same ascending chain order as a loop that skips chain r.
+// The recursion runs through the workspace's per-chain incremental curve
+// cache: sweeps whose inflated service times are unchanged (always true
+// for single-chain networks, whose sub-problem has no inflation) reuse
+// the cached populations instead of recomputing from 1. Every active
+// chain visits a station, which seedChain has checked.
+func sigmaFromSingleChains(ws *Workspace, net *qnet.Network, sp *qnet.Sparse, active []bool) {
 	const maxRho = 0.999 // clamp: transient iterates can overshoot capacity
-	for r := 0; r < nCh; r++ {
+	lam, lamD := ws.lam, ws.lamD
+	for m, e := range sp.StatEntry {
+		// The conversion rounds the product on its own, so a target that
+		// fuses multiply-adds cannot merge it into the sums below.
+		lamD[m] = float64(lam[sp.StatChain[m]] * sp.EntDemand[e])
+	}
+	for r := 0; r < sp.NCh; r++ {
 		if !active[r] {
 			continue
 		}
 		lo, hi := sp.ChainPtr[r], sp.ChainPtr[r+1]
-		deg := int(hi - lo)
-		if deg == 0 {
-			return fmt.Errorf("mva: sigma sub-problem for chain %d: chain visits no station", r)
-		}
-		servInf := ws.servInf[:deg]
+		servInf := ws.servInf[:hi-lo]
 		for k, e := 0, lo; e < hi; k, e = k+1, e+1 {
 			// IS stations have a server per customer: other chains
 			// occupy them without delaying anyone, so no inflation.
@@ -394,29 +349,29 @@ func sigmaFromSingleChains(ws *Workspace, net *qnet.Network, sp *qnet.Sparse, ac
 				servInf[k] = sp.EntServ[e]
 				continue
 			}
-			i := sp.EntStation[e]
+			i, self := sp.EntStation[e], sp.EntTrans[e]
 			other := 0.0
-			for m := sp.StatPtr[i]; m < sp.StatPtr[i+1]; m++ {
-				if j := int(sp.StatChain[m]); j != r {
-					other += lam[j] * sp.EntDemand[sp.StatEntry[m]]
-				}
+			for _, x := range lamD[sp.StatPtr[i]:self] {
+				other += x
+			}
+			for _, x := range lamD[self+1 : sp.StatPtr[i+1]] {
+				other += x
 			}
 			if other > maxRho {
 				other = maxRho
 			}
 			servInf[k] = sp.EntServ[e] / (1 - other)
 		}
-		pop := net.Chains[r].Population
-		nAt, nPrev := ws.curveUpTo(r, sp, servInf, pop)
-		for k, e := 0, lo; e < hi; k, e = k+1, e+1 {
+		nAt, nPrev := ws.curveUpTo(r, sp, servInf, net.Chains[r].Population)
+		sig := ws.sigma[lo:hi]
+		for k := range sig {
 			s := nAt[k] - nPrev[k]
 			if s < 0 {
 				s = 0
 			} else if s > 1 {
 				s = 1
 			}
-			sigma.Set(int(sp.EntStation[e]), r, s)
+			sig[k] = s
 		}
 	}
-	return nil
 }

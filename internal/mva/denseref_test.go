@@ -235,7 +235,9 @@ func denseSigma(net *qnet.Network, active []bool, lam numeric.Vector, sigma *num
 			other := 0.0
 			for j := 0; j < nCh; j++ {
 				if j != r {
-					other += lam[j] * net.Chains[j].Demand(i)
+					// Rounded on its own, as the production kernel's
+					// stored λ·D products are.
+					other += float64(lam[j] * net.Chains[j].Demand(i))
 				}
 			}
 			if other > maxRho {
@@ -392,7 +394,7 @@ func denseLinearizer(net *qnet.Network, opts Options) (*Solution, error) {
 	if !warm.matches(nSt, nCh) {
 		warm = nil
 	}
-	var full *coreResult
+	var full *denseCoreResult
 	for sweep := 0; sweep < sweeps; sweep++ {
 		var err error
 		full, err = denseLinearizerCore(net, pop, f, opts, warm)
@@ -402,7 +404,7 @@ func denseLinearizer(net *qnet.Network, opts Options) (*Solution, error) {
 		if sweep == sweeps-1 {
 			break
 		}
-		reduced := make([]*coreResult, nCh)
+		reduced := make([]*denseCoreResult, nCh)
 		for j := 0; j < nCh; j++ {
 			if pop[j] == 0 {
 				continue
@@ -450,9 +452,16 @@ func denseLinearizer(net *qnet.Network, opts Options) (*Solution, error) {
 	return sol, nil
 }
 
-func denseLinearizerCore(net *qnet.Network, pop numeric.IntVector, f [][][]float64, opts Options, warm *WarmStart) (*coreResult, error) {
+// denseCoreResult is a dense Linearizer core's fixed point.
+type denseCoreResult struct {
+	lam        numeric.Vector
+	q, t       *numeric.Matrix
+	iterations int
+}
+
+func denseLinearizerCore(net *qnet.Network, pop numeric.IntVector, f [][][]float64, opts Options, warm *WarmStart) (*denseCoreResult, error) {
 	nSt, nCh := net.N(), net.R()
-	res := &coreResult{
+	res := &denseCoreResult{
 		lam: numeric.NewVector(nCh),
 		q:   numeric.NewMatrix(nSt, nCh),
 		t:   numeric.NewMatrix(nSt, nCh),

@@ -82,29 +82,28 @@ func Linearizer(net *qnet.Network, opts Options) (*Solution, error) {
 				return nil, err
 			}
 		}
-		// Update deviations.
-		for i := 0; i < nSt; i++ {
-			for m := sp.StatPtr[i]; m < sp.StatPtr[i+1]; m++ {
-				r := int(sp.StatChain[m])
-				if pop[r] == 0 {
+		// Update deviations, one transpose slot (chain r at station i) at
+		// a time.
+		for m, e := range sp.StatEntry {
+			r := int(sp.StatChain[m])
+			if pop[r] == 0 {
+				continue
+			}
+			yFull := full.q[e] / float64(pop[r])
+			fm := f[m*nCh : (m+1)*nCh]
+			for j := 0; j < nCh; j++ {
+				if reduced[j] == nil {
 					continue
 				}
-				yFull := full.q.At(i, r) / float64(pop[r])
-				fm := f[int(m)*nCh : int(m+1)*nCh]
-				for j := 0; j < nCh; j++ {
-					if reduced[j] == nil {
-						continue
-					}
-					denom := float64(pop[r])
-					if j == r {
-						denom--
-					}
-					if denom <= 0 {
-						fm[j] = 0
-						continue
-					}
-					fm[j] = reduced[j].q.At(i, r)/denom - yFull
+				denom := float64(pop[r])
+				if j == r {
+					denom--
 				}
+				if denom <= 0 {
+					fm[j] = 0
+					continue
+				}
+				fm[j] = reduced[j].q[e]/denom - yFull
 			}
 		}
 	}
@@ -115,16 +114,18 @@ func Linearizer(net *qnet.Network, opts Options) (*Solution, error) {
 	for r := 0; r < nCh; r++ {
 		for e := sp.ChainPtr[r]; e < sp.ChainPtr[r+1]; e++ {
 			i := int(sp.EntStation[e])
-			sol.QueueLen.Set(i, r, full.q.At(i, r))
-			sol.QueueTime.Set(i, r, full.t.At(i, r))
+			sol.QueueLen.Set(i, r, full.q[e])
+			sol.QueueTime.Set(i, r, full.t[e])
 		}
 	}
 	return sol, nil
 }
 
+// coreResult is one core's fixed point, with q and t per visit-list entry
+// of the compiled view.
 type coreResult struct {
 	lam        numeric.Vector
-	q, t       *numeric.Matrix
+	q, t       []float64
 	iterations int
 }
 
@@ -133,27 +134,29 @@ type coreResult struct {
 //
 //	N_ij(pop - e_r) ≈ (pop_j - δ_jr) * (q_ij/pop_j + F[m(i,j)][r]).
 func linearizerCore(sp *qnet.Sparse, pop numeric.IntVector, f []float64, opts Options, warm *WarmStart) (*coreResult, error) {
-	nSt, nCh := sp.NSt, sp.NCh
+	nCh := sp.NCh
 	res := &coreResult{
 		lam: numeric.NewVector(nCh),
-		q:   numeric.NewMatrix(nSt, nCh),
-		t:   numeric.NewMatrix(nSt, nCh),
+		q:   make([]float64, sp.Entries()),
+		t:   make([]float64, sp.Entries()),
 	}
 	if !anyPositive(pop) {
 		return res, nil
 	}
-	// Balanced initialisation, or the warm seed where usable.
+	// Balanced initialisation, or the warm seed where usable. A cold chain
+	// starts from λ = 0, not the seeder's demand estimate, so its first
+	// sweep's change is its whole throughput and never passes the
+	// stopping test.
 	for r := 0; r < nCh; r++ {
 		if pop[r] == 0 {
 			continue
 		}
-		if warm != nil && seedChainFromWarm(warm, sp, r, pop[r], res.q, res.lam) {
-			continue
+		l, warmed, err := seedChain(sp, r, pop[r], Balanced, warm, res.q)
+		if err != nil {
+			return nil, err
 		}
-		lo, hi := sp.ChainPtr[r], sp.ChainPtr[r+1]
-		share := float64(pop[r]) / float64(hi-lo)
-		for e := lo; e < hi; e++ {
-			res.q.Set(int(sp.EntStation[e]), r, share)
+		if warmed {
+			res.lam[r] = l
 		}
 	}
 	for iter := 1; iter <= opts.MaxIter; iter++ {
@@ -185,7 +188,7 @@ func linearizerCore(sp *qnet.Sparse, pop numeric.IntVector, f []float64, opts Op
 						if nj <= 0 {
 							continue
 						}
-						est := res.q.At(i, j)/float64(pop[j]) + f[int(m)*nCh+r]
+						est := res.q[sp.StatEntry[m]]/float64(pop[j]) + f[int(m)*nCh+r]
 						if est < 0 {
 							est = 0
 						}
@@ -193,7 +196,7 @@ func linearizerCore(sp *qnet.Sparse, pop numeric.IntVector, f []float64, opts Op
 					}
 					ti = sp.EntServ[e] * (1 + seen)
 				}
-				res.t.Set(i, r, ti)
+				res.t[e] = ti
 				denom += sp.EntVisit[e] * ti
 			}
 			res.lam[r] = float64(pop[r]) / denom
@@ -203,9 +206,8 @@ func linearizerCore(sp *qnet.Sparse, pop numeric.IntVector, f []float64, opts Op
 				continue
 			}
 			for e := sp.ChainPtr[r]; e < sp.ChainPtr[r+1]; e++ {
-				i := int(sp.EntStation[e])
-				next := res.lam[r] * sp.EntVisit[e] * res.t.At(i, r)
-				res.q.Set(i, r, opts.Damping*next+(1-opts.Damping)*res.q.At(i, r))
+				next := res.lam[r] * sp.EntVisit[e] * res.t[e]
+				res.q[e] = opts.Damping*next + (1-opts.Damping)*res.q[e]
 			}
 		}
 		if res.lam.L2Diff(prev) < opts.Tol {

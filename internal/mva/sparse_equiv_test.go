@@ -137,8 +137,9 @@ func bumpedPops(net *qnet.Network) numeric.IntVector {
 
 // TestApproximateWorkspaceReuseAcrossNetworks drives one workspace through
 // alternating networks and populations — the engine's pooled-reuse shape
-// plus the hostile same-dimensions-different-network shape — checking each
-// solve against a fresh private one.
+// plus the hostile same-dimensions-different-network shapes, one of them
+// with equal entry counts too — checking each solve against a fresh
+// private one.
 func TestApproximateWorkspaceReuseAcrossNetworks(t *testing.T) {
 	master := rng.New(0xbeef)
 	ws := NewWorkspace()
@@ -152,26 +153,49 @@ func TestApproximateWorkspaceReuseAcrossNetworks(t *testing.T) {
 			break
 		}
 	}
-	nets := []*qnet.Network{a, b, a, a, b}
+	// c: a's stations with every route shifted one station along, so c
+	// and a have equal entry counts (the per-entry state keeps its
+	// length and only reset stands between a's values and c's solve) but
+	// different visit lists.
+	c := &qnet.Network{Stations: a.Stations, Chains: make([]qnet.Chain, a.R())}
+	for r, ch := range a.Chains {
+		ch.Visits = append(ch.Visits[1:len(ch.Visits):len(ch.Visits)], ch.Visits[0])
+		ch.ServTime = append(ch.ServTime[1:len(ch.ServTime):len(ch.ServTime)], ch.ServTime[0])
+		c.Chains[r] = ch
+	}
+	spA, spC := qnet.Compile(a), qnet.Compile(c)
+	if spA.Entries() != spC.Entries() || fmt.Sprint(spA.EntStation) == fmt.Sprint(spC.EntStation) {
+		t.Fatalf("shifted network: %d vs %d entries, stations %v vs %v; want equal counts, different routes",
+			spA.Entries(), spC.Entries(), spA.EntStation, spC.EntStation)
+	}
+	nets := []*qnet.Network{a, b, a, a, b, c, a, c, c}
 	for k, net := range nets {
 		for _, m := range []Method{SigmaHeuristic, Schweitzer} {
-			pops := net.Populations()
-			pops[k%len(pops)] = 1 + (k % 3)
-			cand, err := net.WithPopulations(pops)
-			if err != nil {
-				t.Fatal(err)
+			for _, init := range []Initialization{Balanced, Bottleneck} {
+				pops := net.Populations()
+				pops[k%len(pops)] = 1 + (k % 3)
+				// The Bottleneck rule seeds one entry per chain, and an idle
+				// chain none: what the seed leaves alone must read as zero,
+				// whatever the previous solve left in the workspace.
+				if init == Bottleneck && len(pops) > 1 {
+					pops[(k+1)%len(pops)] = 0
+				}
+				cand, err := net.WithPopulations(pops)
+				if err != nil {
+					t.Fatal(err)
+				}
+				opts := Options{Method: m, Init: init, MaxIter: 4000}
+				plain, perr := Approximate(cand, opts)
+				opts.Workspace = ws
+				backed, berr := Approximate(cand, opts)
+				if (perr == nil) != (berr == nil) {
+					t.Fatalf("step %d %v/%v: private err %v, workspace err %v", k, m, init, perr, berr)
+				}
+				if perr != nil {
+					continue
+				}
+				solutionsBitIdentical(t, fmt.Sprintf("step %d %v/%v", k, m, init), plain, backed)
 			}
-			opts := Options{Method: m, MaxIter: 4000}
-			plain, perr := Approximate(cand, opts)
-			opts.Workspace = ws
-			backed, berr := Approximate(cand, opts)
-			if (perr == nil) != (berr == nil) {
-				t.Fatalf("step %d %v: private err %v, workspace err %v", k, m, perr, berr)
-			}
-			if perr != nil {
-				continue
-			}
-			solutionsBitIdentical(t, fmt.Sprintf("step %d %v", k, m), plain, backed)
 		}
 	}
 }

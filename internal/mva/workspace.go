@@ -1,6 +1,7 @@
 package mva
 
 import (
+	"fmt"
 	"math"
 
 	"repro/internal/numeric"
@@ -54,6 +55,11 @@ func (w *WarmStart) matches(nSt, nCh int) bool {
 // allocations. A workspace is NOT safe for concurrent use; concurrent
 // evaluators (core.Engine's pool) hold one workspace each.
 //
+// The fixed point's state lives per visit-list entry of the compiled view
+// (qnet.Sparse), not in station × chain matrices: q[e], t[e] and sigma[e]
+// belong to entry e's (chain, station) pair, and lamD[m] to transpose slot
+// m. Only the returned Solution is dense.
+//
 // Reusing a workspace never changes results: the buffers are reset per
 // call and the incremental σ-curve cache only short-circuits recursions
 // whose inputs are bit-identical, so a workspace-backed run reproduces the
@@ -62,12 +68,16 @@ type Workspace struct {
 	nSt, nCh int
 
 	active []bool
-	q      *numeric.Matrix
-	t      *numeric.Matrix
-	sigma  *numeric.Matrix
 	lam    numeric.Vector
 	prev   numeric.Vector
-	totQ   numeric.Vector
+	totQ   numeric.Vector // per station, summed through the transpose
+
+	// Per entry e: the mean queue length, queue time and arrival-instant
+	// correction of e's chain at station EntStation[e].
+	q, t, sigma []float64
+	// lamD[m] is λ_j·D_ij for transpose slot m (j = StatChain[m]), the
+	// other-chain utilisation terms of the σ step, formed once per sweep.
+	lamD []float64
 
 	// σ sub-problem scratch, indexed per visit-list entry (so at most nSt
 	// long per chain).
@@ -84,8 +94,9 @@ type Workspace struct {
 	// allocation-free.
 	compiledSp *qnet.Sparse
 	// lastSp is the compiled view of the previous call. While it is
-	// unchanged, per-call clearing touches only the visit-list support;
-	// when it changes, everything is cleared densely and the σ curves are
+	// unchanged, clearing the returned solution touches only the
+	// visit-list support; when it changes, the per-entry slices are
+	// re-fitted, the solution is cleared densely and the σ curves are
 	// dropped (their cached vectors are laid out per entry).
 	lastSp *qnet.Sparse
 
@@ -95,11 +106,13 @@ type Workspace struct {
 }
 
 // chainCurve caches the exact single-chain recursion of one chain's σ
-// sub-problem (eq. 4.12): q[d-1] is the queue-length vector at population
-// d, valid for the stored inflated service times. Vectors are indexed per
-// visit-list entry (length = the chain's route length, not the station
-// count). When a sweep re-solves the sub-problem with bit-identical
-// inflated service times — every sweep in a single-chain network, and the
+// sub-problem (eq. 4.12): q[(d-1)*deg : d*deg] is the queue-length vector
+// at population d, valid for the stored inflated service times. Vectors
+// are indexed per visit-list entry (deg = the chain's route length, not
+// the station count), one population after another in a single slice
+// that grows by copy and keeps its backing array across invalidations.
+// When a sweep re-solves the sub-problem with bit-identical inflated
+// service times — every sweep in a single-chain network, and the
 // stabilised tail of any fixed point — the cached prefix is reused and
 // only missing populations are extended. Extension reproduces the
 // from-scratch recursion bit for bit, so the cache is purely a time
@@ -108,25 +121,24 @@ type chainCurve struct {
 	valid   bool
 	deg     int // entry count the cached vectors are laid out for
 	servInf []float64
-	n       int         // populations 1..n are valid
-	q       [][]float64 // backing buffers, reused across invalidations
+	n       int       // populations 1..n are valid
+	q       []float64 // populations 1..len(q)/deg laid end to end
 }
 
 // NewWorkspace returns an empty workspace; buffers are sized lazily from
 // the first network solved with it.
 func NewWorkspace() *Workspace { return &Workspace{} }
 
-// ensure sizes the buffers for an nSt-station, nCh-chain network,
-// reallocating only on dimension change.
+// ensure sizes the per-station and per-chain buffers for an nSt-station,
+// nCh-chain network, reallocating only on dimension change. The per-entry
+// slices are fitted by reset, since networks of equal dimensions can
+// differ in route lengths.
 func (w *Workspace) ensure(nSt, nCh int) {
 	if w.nSt == nSt && w.nCh == nCh {
 		return
 	}
 	w.nSt, w.nCh = nSt, nCh
 	w.active = make([]bool, nCh)
-	w.q = numeric.NewMatrix(nSt, nCh)
-	w.t = numeric.NewMatrix(nSt, nCh)
-	w.sigma = numeric.NewMatrix(nSt, nCh)
 	w.lam = numeric.NewVector(nCh)
 	w.prev = numeric.NewVector(nCh)
 	w.totQ = numeric.NewVector(nSt)
@@ -154,15 +166,19 @@ func (w *Workspace) compiled(net *qnet.Network, sp *qnet.Sparse) *qnet.Sparse {
 }
 
 // reset clears the per-call numeric state (the curve cache survives: its
-// hits are input-keyed and bit-faithful, see chainCurve). With the same
-// compiled view as the previous call, only the visit-list support is
-// cleared — everything off-support is already zero and stays zero, which
-// is what keeps the reset O(route lengths) instead of O(stations×chains).
+// hits are input-keyed and bit-faithful, see chainCurve). The per-entry
+// state is cleared whole, which costs O(route lengths). With the same
+// compiled view as the previous call, only the visit-list support of the
+// dense solution is cleared — everything off-support is already zero and
+// stays zero.
 func (w *Workspace) reset(sp *qnet.Sparse) {
 	if sp != w.lastSp {
 		w.lastSp = sp
-		w.q.Zero()
-		w.t.Zero()
+		n := sp.Entries()
+		w.q = fit(w.q, n)
+		w.t = fit(w.t, n)
+		w.sigma = fit(w.sigma, n)
+		w.lamD = fit(w.lamD, n)
 		w.sol.QueueLen.Zero()
 		w.sol.QueueTime.Zero()
 		for r := range w.curves {
@@ -172,16 +188,25 @@ func (w *Workspace) reset(sp *qnet.Sparse) {
 		for r := 0; r < sp.NCh; r++ {
 			for e := sp.ChainPtr[r]; e < sp.ChainPtr[r+1]; e++ {
 				i := int(sp.EntStation[e])
-				w.q.Set(i, r, 0)
-				w.t.Set(i, r, 0)
 				w.sol.QueueLen.Set(i, r, 0)
 				w.sol.QueueTime.Set(i, r, 0)
 			}
 		}
 	}
+	clear(w.q)
+	clear(w.t)
 	w.lam.Zero()
 	w.sol.Throughput.Zero()
 	w.sol.Iterations = 0
+}
+
+// fit returns s resliced to length n, reallocating only when its capacity
+// is short. Callers clear or overwrite the contents.
+func fit(s []float64, n int) []float64 {
+	if cap(s) < n {
+		return make([]float64, n)
+	}
+	return s[:n]
 }
 
 // curveUpTo returns the σ sub-problem's mean queue lengths at populations
@@ -194,7 +219,7 @@ func (w *Workspace) curveUpTo(r int, sp *qnet.Sparse, servInf []float64, pop int
 	deg := len(servInf)
 	if c.deg != deg {
 		c.deg = deg
-		c.q = nil
+		c.q = c.q[:0]
 		c.valid = false
 	}
 	if !c.valid || !floatsEqual(c.servInf, servInf) {
@@ -205,41 +230,42 @@ func (w *Workspace) curveUpTo(r int, sp *qnet.Sparse, servInf []float64, pop int
 		copy(c.servInf, servInf)
 		c.n = 0
 	}
-	lo := sp.ChainPtr[r]
+	lo := int(sp.ChainPtr[r])
+	visit, isIS := sp.EntVisit[lo:lo+deg], sp.EntIS[lo:lo+deg]
+	zero := w.scZero[:deg]
 	for d := c.n + 1; d <= pop; d++ {
-		if len(c.q) < d {
-			c.q = append(c.q, make([]float64, deg))
+		if len(c.q) < d*deg {
+			c.q = append(c.q, zero...)
 		}
-		prev := w.scZero[:deg]
+		prev := zero
 		if d > 1 {
-			prev = c.q[d-2]
+			prev = c.q[(d-2)*deg : (d-1)*deg]
 		}
 		// The exact single-chain MVA step, in ExactSingleChain's exact
 		// arithmetic order so cached and uncached runs agree bitwise.
 		t := w.scT[:deg]
 		denom := 0.0
-		for k := 0; k < deg; k++ {
-			e := lo + int32(k)
-			if sp.EntIS[e] {
+		for k := range t {
+			if isIS[k] {
 				t[k] = c.servInf[k]
 			} else {
 				t[k] = c.servInf[k] * (1 + prev[k])
 			}
-			denom += sp.EntVisit[e] * t[k]
+			denom += visit[k] * t[k]
 		}
 		lam := float64(d) / denom
-		q := c.q[d-1]
-		for k := 0; k < deg; k++ {
-			q[k] = lam * sp.EntVisit[lo+int32(k)] * t[k]
+		q := c.q[(d-1)*deg : d*deg]
+		for k := range q {
+			q[k] = lam * visit[k] * t[k]
 		}
 	}
 	if pop > c.n {
 		c.n = pop
 	}
-	nAt = c.q[pop-1]
-	nPrev = w.scZero[:deg]
+	nAt = c.q[(pop-1)*deg : pop*deg]
+	nPrev = zero
 	if pop > 1 {
-		nPrev = c.q[pop-2]
+		nPrev = c.q[(pop-2)*deg : (pop-1)*deg]
 	}
 	return nAt, nPrev
 }
@@ -256,26 +282,48 @@ func floatsEqual(a, b []float64) bool {
 	return true
 }
 
-// seedChainFromWarm seeds chain r's STEP-1 state from a warm start,
-// rescaling the queue-length column (its mass at the chain's visited
-// stations) to the chain's current population. It reports false (leaving
-// q and lam untouched) when the warm column is degenerate, so the caller
-// can fall back to the cold initialisation.
-func seedChainFromWarm(warm *WarmStart, sp *qnet.Sparse, r, pop int, q *numeric.Matrix, lam numeric.Vector) bool {
+// seedChain writes chain r's STEP-1 queue lengths into q (its visit-list
+// entries; the rest of q is left alone) and returns the throughput to
+// start from. Where the warm seed's column is usable it is rescaled to
+// population pop and its throughput carried over (warmed = true);
+// otherwise the Init rule places the chain (eqs. 4.16–4.17) and the
+// throughput is population over pure service demand (the APL program's
+// initialisation). Approximate and the Linearizer's cores both seed here.
+// A chain with no visited station cannot be placed — the Bottleneck rule
+// once indexed q with -1 and panicked — so it is an error under any rule.
+func seedChain(sp *qnet.Sparse, r, pop int, init Initialization, warm *WarmStart, q []float64) (lam float64, warmed bool, err error) {
 	lo, hi := sp.ChainPtr[r], sp.ChainPtr[r+1]
-	colSum := 0.0
-	for e := lo; e < hi; e++ {
-		colSum += warm.QueueLen.At(int(sp.EntStation[e]), r)
+	if lo == hi {
+		return 0, false, fmt.Errorf("mva: chain %d has no station with positive visits and demand; cannot initialise", r)
 	}
-	wl := warm.Throughput[r]
-	if !(colSum > 0) || math.IsInf(colSum, 0) || !(wl > 0) || math.IsInf(wl, 0) {
-		return false
+	if warm != nil {
+		colSum := 0.0
+		for e := lo; e < hi; e++ {
+			colSum += warm.QueueLen.At(int(sp.EntStation[e]), r)
+		}
+		wl := warm.Throughput[r]
+		if colSum > 0 && !math.IsInf(colSum, 0) && wl > 0 && !math.IsInf(wl, 0) {
+			scale := float64(pop) / colSum
+			for e := lo; e < hi; e++ {
+				q[e] = warm.QueueLen.At(int(sp.EntStation[e]), r) * scale
+			}
+			return wl, true, nil
+		}
 	}
-	scale := float64(pop) / colSum
-	for e := lo; e < hi; e++ {
-		i := int(sp.EntStation[e])
-		q.Set(i, r, warm.QueueLen.At(i, r)*scale)
+	switch init {
+	case Bottleneck:
+		best, at := -1.0, lo
+		for e := lo; e < hi; e++ {
+			if sp.EntDemand[e] > best {
+				best, at = sp.EntDemand[e], e
+			}
+		}
+		q[at] = float64(pop)
+	default: // Balanced
+		share := float64(pop) / float64(hi-lo)
+		for e := lo; e < hi; e++ {
+			q[e] = share
+		}
 	}
-	lam[r] = wl
-	return true
+	return float64(pop) / sp.DemandSum[r], false, nil
 }

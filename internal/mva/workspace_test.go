@@ -186,6 +186,31 @@ func TestApproximateSteadyStateAllocs(t *testing.T) {
 	if allocs > 0 {
 		t.Errorf("steady-state Approximate allocates %v times per call, want 0", allocs)
 	}
+
+	// A population sweep 64, 1, 64 over the same compiled network: the
+	// first solve at 64 grows chain 0's flat σ curve to 64 populations, and
+	// from then on shrinking and regrowing the population reuses it.
+	var sweep []*qnet.Network
+	for _, p := range []int{64, 1, 64} {
+		n, err := eff.WithPopulations([]int{p, 3})
+		if err != nil {
+			t.Fatal(err)
+		}
+		sweep = append(sweep, n)
+	}
+	if _, err := Approximate(sweep[0], opts); err != nil {
+		t.Fatal(err)
+	}
+	allocs = testing.AllocsPerRun(20, func() {
+		for _, n := range sweep {
+			if _, err := Approximate(n, opts); err != nil {
+				t.Fatal(err)
+			}
+		}
+	})
+	if allocs > 0 {
+		t.Errorf("population sweep 64, 1, 64 allocates %v times per pass after the largest population was solved, want 0", allocs)
+	}
 }
 
 func TestPrevalidateRejects(t *testing.T) {

@@ -35,23 +35,31 @@ type Metrics struct {
 // FromSolution derives power metrics from a solved closed-chain model.
 // excluded[r] lists the station indices of chain r's reentrant sink→source
 // path (source queue, acknowledgement station) left out of the network
-// delay; a nil entry counts every station as network.
+// delay; a nil entry counts every station as network. It compiles the
+// model's visit lists for the one read; repeated callers hold a compiled
+// view and call FromSolutionInto.
 func FromSolution(net *qnet.Network, sol *mva.Solution, excluded [][]int) (*Metrics, error) {
 	m := &Metrics{}
-	if err := FromSolutionInto(m, net, sol, excluded); err != nil {
+	if err := FromSolutionInto(m, qnet.Compile(net), sol, excluded); err != nil {
 		return nil, err
 	}
 	return m, nil
 }
 
-// FromSolutionInto is FromSolution writing into a caller-owned Metrics,
-// reusing its slices when they are large enough — the zero-allocation path
-// core.Engine takes for every search candidate.
-func FromSolutionInto(m *Metrics, net *qnet.Network, sol *mva.Solution, excluded [][]int) error {
-	if len(excluded) != net.R() {
-		return fmt.Errorf("power: %d exclusion lists for %d chains", len(excluded), net.R())
+// FromSolutionInto is FromSolution over the model's compiled view sp,
+// writing into a caller-owned Metrics and reusing its slices when they are
+// large enough — the zero-allocation path core.Engine takes for every
+// search candidate.
+//
+// A chain's network population is summed over its visit list only, in
+// ascending station order. Every solver leaves an exact zero where a chain
+// has no visits, so skipping those terms gives the sum over all stations
+// bit for bit, at a cost of the route length instead of the station count.
+func FromSolutionInto(m *Metrics, sp *qnet.Sparse, sol *mva.Solution, excluded [][]int) error {
+	nCh := sp.NCh
+	if len(excluded) != nCh {
+		return fmt.Errorf("power: %d exclusion lists for %d chains", len(excluded), nCh)
 	}
-	nCh := net.R()
 	if cap(m.ClassThroughput) >= nCh && cap(m.ClassDelay) >= nCh {
 		m.ClassThroughput = m.ClassThroughput[:nCh]
 		m.ClassDelay = m.ClassDelay[:nCh]
@@ -66,16 +74,13 @@ func FromSolutionInto(m *Metrics, net *qnet.Network, sol *mva.Solution, excluded
 		m.ClassThroughput[r] = lam
 		m.Throughput += lam
 		n := 0.0
-		for i := 0; i < net.N(); i++ {
-			skip := false
-			for _, e := range excluded[r] {
-				if i == e {
-					skip = true
-					break
+	entries:
+		for e := sp.ChainPtr[r]; e < sp.ChainPtr[r+1]; e++ {
+			i := int(sp.EntStation[e])
+			for _, x := range excluded[r] {
+				if i == x {
+					continue entries
 				}
-			}
-			if skip {
-				continue
 			}
 			n += sol.QueueLen.At(i, r)
 		}

@@ -49,6 +49,11 @@ type Sparse struct {
 	// (chain, station) pair, giving the transpose loops O(1) access to the
 	// precomputed demand/service values.
 	StatEntry []int32
+	// EntTrans[e] is the transpose slot of entry e, the inverse of
+	// StatEntry: StatEntry[EntTrans[e]] == e. The other chains at entry e's
+	// station are the two runs StatPtr[i]..EntTrans[e] and
+	// EntTrans[e]+1..StatPtr[i+1].
+	EntTrans []int32
 
 	// IsIS[i] marks infinite-server stations.
 	IsIS []bool
@@ -128,24 +133,28 @@ func Compile(n *Network) *Sparse {
 
 	// Transpose: counting sort over stations keeps chains ascending per
 	// station because the chain-major pass above runs in chain order.
+	// StatPtr[i+1] first counts station i's entries, then holds its start
+	// offset and serves as its fill cursor, which leaves it at station i's
+	// end: the CSR bound.
 	sp.StatPtr = make([]int32, nSt+1)
 	sp.StatChain = make([]int32, total)
 	sp.StatEntry = make([]int32, total)
+	sp.EntTrans = make([]int32, total)
 	for _, i := range sp.EntStation {
 		sp.StatPtr[i+1]++
 	}
+	start := int32(0)
 	for i := 0; i < nSt; i++ {
-		sp.StatPtr[i+1] += sp.StatPtr[i]
+		start, sp.StatPtr[i+1] = start+sp.StatPtr[i+1], start
 	}
-	next := make([]int32, nSt)
-	copy(next, sp.StatPtr[:nSt])
 	for r := 0; r < nCh; r++ {
 		for e := sp.ChainPtr[r]; e < sp.ChainPtr[r+1]; e++ {
 			i := sp.EntStation[e]
-			m := next[i]
-			next[i]++
+			m := sp.StatPtr[i+1]
+			sp.StatPtr[i+1]++
 			sp.StatChain[m] = int32(r)
 			sp.StatEntry[m] = e
+			sp.EntTrans[e] = m
 		}
 	}
 	return sp

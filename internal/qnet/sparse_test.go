@@ -46,7 +46,8 @@ func randomSparseNet(s *rng.Stream) *Network {
 // sparse view is exactly the dense arrays' support: chain-major entries
 // enumerate the positive visits in increasing station order with the
 // dense values, the station-major transpose is its exact inverse in
-// increasing chain order, and the per-chain demand sums match the dense
+// increasing chain order (EntTrans leading each entry back to its slot),
+// and the per-chain demand sums match the dense
 // full-range accumulation bitwise.
 func TestCompileFidelity(t *testing.T) {
 	master := rng.New(0xc0111)
@@ -122,6 +123,9 @@ func TestCompileFidelity(t *testing.T) {
 				lastChain = r
 				if seen[e] {
 					t.Fatalf("trial %d: entry %d appears twice in transpose", trial, e)
+				}
+				if sp.EntTrans[e] != m {
+					t.Fatalf("trial %d: EntTrans[%d] = %d, want transpose slot %d", trial, e, sp.EntTrans[e], m)
 				}
 				seen[e] = true
 			}
