@@ -74,6 +74,10 @@ type JobResult struct {
 	Note    string `json:"note,omitempty"`
 }
 
+// full reports whether the result is an optimum the warm-start index
+// keeps: not partial, and with windows.
+func (r *JobResult) full() bool { return r != nil && !r.Partial && len(r.Windows) > 0 }
+
 // Record is a job's durable journal entry: everything a restarted daemon
 // needs to list, resume, or report the job. Records are replaced whole
 // with durable.Replace, so a crash at any instant leaves the previous
@@ -109,6 +113,9 @@ const (
 // checkpoint log written by the running search itself.
 type Journal struct {
 	dir string
+	// beforeReplace, when set, runs in Write between stamping the record
+	// and replacing its file; tests use it to hold a write in flight.
+	beforeReplace func(*Record)
 }
 
 // OpenJournal opens (creating if needed) the spool directory.
@@ -147,6 +154,9 @@ func (j *Journal) ShardDir(id string) string {
 // sync — a crash immediately after Write cannot lose the record.
 func (j *Journal) Write(r *Record) error {
 	r.Updated = time.Now().UTC()
+	if j.beforeReplace != nil {
+		j.beforeReplace(r)
+	}
 	data, err := json.Marshal(r)
 	if err != nil {
 		return fmt.Errorf("service: marshal job record: %w", err)

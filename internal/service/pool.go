@@ -80,18 +80,21 @@ func (s *Server) runJob(j *job) {
 		j.mu.Unlock()
 		return // canceled while queued
 	}
+	// The attempts work from this pointer: a cancel that turns the job
+	// terminal clears j.parsed, never the Job it points to.
+	p := j.parsed
 	j.mu.Unlock()
 	s.running.Add(1)
 	defer s.running.Add(-1)
 	maxRetries := s.cfg.MaxRetries
-	if j.parsed.Spec.MaxRetries != nil {
-		maxRetries = *j.parsed.Spec.MaxRetries
+	if p.Spec.MaxRetries != nil {
+		maxRetries = *p.Spec.MaxRetries
 	}
 	for {
 		// A shard job's resumable state is its coordinator spool (keyed by
 		// the durable manifest), a dimension job's its search checkpoint.
 		resumable := s.journal.CheckpointPath(j.id)
-		if j.parsed.Sharded() {
+		if p.Sharded() {
 			resumable = shard.ManifestPath(s.journal.ShardDir(j.id))
 		}
 		resume := false
@@ -122,7 +125,7 @@ func (s *Server) runJob(j *job) {
 		}
 		j.emit(Event{Type: typ, Attempt: attempt})
 
-		res, err := s.runAttempt(j, resume)
+		res, err := s.runAttempt(j, p, resume)
 		if err == nil {
 			s.finishDone(j, res)
 			return
@@ -170,7 +173,7 @@ func (s *Server) runJob(j *job) {
 // panic containment. A nil error means res is the job's outcome (possibly
 // a partial, deadline-bounded one); otherwise the error is already
 // resolved to its cancellation cause where one applies.
-func (s *Server) runAttempt(j *job, resume bool) (res *JobResult, err error) {
+func (s *Server) runAttempt(j *job, p *Job, resume bool) (res *JobResult, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			s.panicsTotal.Add(1)
@@ -179,7 +182,7 @@ func (s *Server) runAttempt(j *job, resume bool) (res *JobResult, err error) {
 	}()
 	ctx, cancel := context.WithCancelCause(s.ctx)
 	defer cancel(nil)
-	if d := j.parsed.timeout(s.cfg.JobTimeout); d > 0 {
+	if d := p.timeout(s.cfg.JobTimeout); d > 0 {
 		var tcancel context.CancelFunc
 		ctx, tcancel = context.WithTimeoutCause(ctx, d, errDeadline)
 		defer tcancel()
@@ -203,11 +206,11 @@ func (s *Server) runAttempt(j *job, resume bool) (res *JobResult, err error) {
 		j.mu.Unlock()
 	}()
 
-	if j.parsed.Sharded() {
+	if p.Sharded() {
 		// The sharded coordinator has its own resume discipline: re-running
 		// over the per-job spool recovers finished slabs, adopts live
 		// leases, and resumes the rest from their checkpoints.
-		res, err = s.dimensionSharded(j, ctx)
+		res, err = s.dimensionSharded(j, p, ctx)
 		if err == nil {
 			res.Resumed = resume
 			return res, nil
@@ -218,11 +221,11 @@ func (s *Server) runAttempt(j *job, resume bool) (res *JobResult, err error) {
 		return nil, err
 	}
 
-	opts := s.searchOptions(j, ctx, start)
+	opts := s.searchOptions(j, p, ctx, start)
 	if resume {
 		opts.ResumePath = s.journal.CheckpointPath(j.id)
 	}
-	res, err = s.dimension(j, opts)
+	res, err = s.dimension(p, opts)
 	if err != nil && errors.Is(err, core.ErrResume) {
 		// The checkpoint is stale or torn beyond use (e.g. written by an
 		// older binary). Losing the search prefix beats losing the job.
@@ -233,7 +236,7 @@ func (s *Server) runAttempt(j *job, resume bool) (res *JobResult, err error) {
 		s.ckptDiscardedTotal.Add(1)
 		s.journal.RetireCheckpoint(j.id)
 		opts.ResumePath = ""
-		res, err = s.dimension(j, opts)
+		res, err = s.dimension(p, opts)
 	}
 	if err == nil {
 		res.Resumed = resume
@@ -259,26 +262,26 @@ func (s *Server) runAttempt(j *job, resume bool) (res *JobResult, err error) {
 }
 
 // searchOptions assembles the core options of one attempt.
-func (s *Server) searchOptions(j *job, ctx context.Context, start numeric.IntVector) core.Options {
-	workers := j.parsed.Spec.Workers
+func (s *Server) searchOptions(j *job, p *Job, ctx context.Context, start numeric.IntVector) core.Options {
+	workers := p.Spec.Workers
 	if workers > s.cfg.MaxSearchWorkers {
 		workers = s.cfg.MaxSearchWorkers
 	}
-	every := j.parsed.Spec.CheckpointEvery
+	every := p.Spec.CheckpointEvery
 	if every <= 0 {
 		every = s.cfg.CheckpointEvery
 	}
 	opts := core.Options{
-		Evaluator:       j.parsed.Evaluator,
-		Objective:       j.parsed.Objective,
+		Evaluator:       p.Evaluator,
+		Objective:       p.Objective,
 		Search:          core.PatternSearch,
 		InitialWindows:  start,
-		MaxWindow:       j.parsed.Spec.MaxWindow,
+		MaxWindow:       p.Spec.MaxWindow,
 		Workers:         workers,
-		ExactEngine:     j.parsed.Spec.ExactEngine,
-		EvalTimeout:     j.parsed.evalTimeout(s.cfg.EvalTimeout),
-		DegradeAfter:    j.parsed.Spec.DegradeAfter,
-		MinScenarios:    j.parsed.Spec.MinScenarios,
+		ExactEngine:     p.Spec.ExactEngine,
+		EvalTimeout:     p.evalTimeout(s.cfg.EvalTimeout),
+		DegradeAfter:    p.Spec.DegradeAfter,
+		MinScenarios:    p.Spec.MinScenarios,
 		Context:         ctx,
 		CheckpointPath:  s.journal.CheckpointPath(j.id),
 		CheckpointEvery: every,
@@ -300,9 +303,9 @@ func (s *Server) searchOptions(j *job, ctx context.Context, start numeric.IntVec
 // outcome into a JobResult. On a cancelled search with a best-so-far
 // point, the partial result is returned ALONGSIDE the error, matching
 // core's contract; runAttempt decides what to do with the pair.
-func (s *Server) dimension(j *job, opts core.Options) (*JobResult, error) {
-	if j.parsed.Robust() {
-		rr, err := core.DimensionRobust(j.parsed.Net, j.parsed.Scenarios, j.parsed.Kind, opts)
+func (s *Server) dimension(p *Job, opts core.Options) (*JobResult, error) {
+	if p.Robust() {
+		rr, err := core.DimensionRobust(p.Net, p.Scenarios, p.Kind, opts)
 		if rr == nil {
 			return nil, err
 		}
@@ -318,15 +321,15 @@ func (s *Server) dimension(j *job, opts core.Options) (*JobResult, error) {
 			res.Evaluations = rr.Search.Evaluations
 			res.CacheHits = rr.Search.CacheHits
 		}
-		if rr.WorstScenario >= 0 && rr.WorstScenario < len(j.parsed.Scenarios) {
-			res.WorstScenario = j.parsed.Scenarios[rr.WorstScenario].Name
+		if rr.WorstScenario >= 0 && rr.WorstScenario < len(p.Scenarios) {
+			res.WorstScenario = p.Scenarios[rr.WorstScenario].Name
 		}
 		for _, d := range rr.Degraded {
 			res.Degraded = append(res.Degraded, fmt.Sprintf("%s: %s", d.Name, d.Reason))
 		}
 		return res, err
 	}
-	r, err := core.Dimension(j.parsed.Net, opts)
+	r, err := core.Dimension(p.Net, opts)
 	if r == nil {
 		return nil, err
 	}
@@ -349,23 +352,27 @@ func (s *Server) dimension(j *job, opts core.Options) (*JobResult, error) {
 }
 
 // finishDone retires a successfully finished job: journal the result,
-// drop the checkpoint, feed the warm-start index, and release oracle
-// memory down to the budget now that the job no longer pins its lattice.
+// drop the checkpoint and the parsed spec, feed the warm-start index, and
+// release oracle memory down to the budget now that the job no longer
+// pins its lattice.
 func (s *Server) finishDone(j *job, res *JobResult) {
 	j.mu.Lock()
 	j.rec.State = StateDone
 	j.rec.Result = res
 	j.rec.Error = ""
+	hash := j.structHash
+	j.parsed, j.structHash = nil, ""
 	j.mu.Unlock()
 	if err := s.journalWrite(j); err != nil {
 		s.logf("job %s: journal: %v", j.id, err)
 	}
 	s.journal.RetireCheckpoint(j.id)
 	s.accountResult(res)
-	if !res.Partial && len(res.Windows) > 0 && j.structHash != "" {
-		s.mu.Lock()
-		s.warm[j.structHash] = append(numeric.IntVector(nil), res.Windows...)
-		s.mu.Unlock()
+	if res.full() && hash != "" {
+		j.mu.Lock()
+		rec := *j.rec
+		j.mu.Unlock()
+		s.offerWarm(hash, &rec)
 	}
 	s.releasePin(j)
 	s.oracles.TrimToBudget()
@@ -381,6 +388,7 @@ func (s *Server) finishTerminal(j *job, state State, msg string) {
 	j.mu.Lock()
 	j.rec.State = state
 	j.rec.Error = msg
+	j.parsed, j.structHash = nil, ""
 	j.mu.Unlock()
 	if err := s.journalWrite(j); err != nil {
 		s.logf("job %s: journal: %v", j.id, err)

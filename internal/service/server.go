@@ -4,12 +4,15 @@ import (
 	"context"
 	"crypto/rand"
 	"crypto/sha256"
+	"encoding/binary"
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
 	"io"
 	"log"
+	"math"
 	"net/http"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -105,15 +108,23 @@ type Event struct {
 	Error   string    `json:"error,omitempty"`
 }
 
-// job is the in-memory side of a journal record: the parsed spec, the
-// live event feed, and the cancel handle of the running attempt.
+// job is the in-memory side of a journal record: the record, the live
+// event feed, and the cancel handle of the running attempt.
 type job struct {
-	id         string
-	parsed     *Job
-	structHash string
+	id string
+	// wmu serialises the job's journal writes, from the snapshot of the
+	// record to the copy-back of its updated time, so the last snapshot
+	// taken is the last one on disk.
+	wmu sync.Mutex
 
-	mu           sync.Mutex
-	rec          *Record
+	mu  sync.Mutex
+	rec *Record
+	// parsed and structHash serve a job that may still run: they are set
+	// at admission or respooling and cleared when the job turns terminal,
+	// so a finished job holds its record and no network. The worker reads
+	// parsed once, under mu, when it takes the job.
+	parsed       *Job
+	structHash   string
 	cancel       context.CancelCauseFunc // non-nil while an attempt runs
 	userCanceled bool
 	pinned       int64 // oracle-budget bytes reserved until terminal
@@ -181,7 +192,7 @@ type Server struct {
 	mu       sync.Mutex
 	jobs     map[string]*job
 	order    []string // job ids in admission order
-	warm     map[string]numeric.IntVector
+	warm     map[string]warmEntry
 	draining bool
 	badRecs  int
 
@@ -220,7 +231,7 @@ func New(cfg Config) (*Server, error) {
 		ctx:     ctx,
 		cancel:  cancel,
 		jobs:    make(map[string]*job),
-		warm:    make(map[string]numeric.IntVector),
+		warm:    make(map[string]warmEntry),
 	}
 	pending, err := s.recoverSpool()
 	if err != nil {
@@ -242,11 +253,14 @@ func New(cfg Config) (*Server, error) {
 	return s, nil
 }
 
-// recoverSpool scans the journal and rebuilds in-memory state: terminal
-// records are kept for listing (done ones feed the warm-start index),
-// queued and running records become the pending backlog — running ones
-// are exactly the jobs a crash interrupted, and their checkpoints make
-// the re-run converge bit-identically to the uninterrupted run.
+// recoverSpool scans the journal and rebuilds in-memory state. A terminal
+// record becomes a closed job that holds the record alone; a done one with
+// a full result also feeds the warm-start index, so it is the only kind of
+// terminal record whose spec is parsed, and its parsed network is dropped
+// once hashed. Queued and running records are parsed in full and become
+// the pending backlog — running ones are exactly the jobs a crash
+// interrupted, and their checkpoints make the re-run converge
+// bit-identically to the uninterrupted run.
 func (s *Server) recoverSpool() ([]*job, error) {
 	records, bad, err := s.journal.Scan()
 	if err != nil {
@@ -258,21 +272,25 @@ func (s *Server) recoverSpool() ([]*job, error) {
 	}
 	var pending []*job
 	for _, rec := range records {
-		parsed, perr := ParseJob(rec.Spec)
 		if rec.State.Terminal() {
-			j := newJob(rec.ID, parsed, rec)
+			j := newJob(rec.ID, nil, rec)
 			j.close()
 			s.jobs[rec.ID] = j
 			s.order = append(s.order, rec.ID)
-			if perr == nil && rec.State == StateDone && rec.Result != nil &&
-				!rec.Result.Partial && len(rec.Result.Windows) > 0 {
-				if h := structuralHash(parsed.Net); h != "" {
-					j.structHash = h
-					s.warm[h] = append(numeric.IntVector(nil), rec.Result.Windows...)
+			// Each record is parsed on its own: on a spool the open loop of
+			// bench/windimd.go journalled itself, only 20% of the done
+			// records repeated another's spec apart from its id, and sharing
+			// their parses saved no measurable restart time.
+			if rec.State == StateDone && rec.Result.full() {
+				if p, err := ParseJob(rec.Spec); err == nil {
+					if h := structuralHash(p.Net); h != "" {
+						s.offerWarm(h, rec)
+					}
 				}
 			}
 			continue
 		}
+		parsed, perr := ParseJob(rec.Spec)
 		if perr != nil {
 			// The record was admitted by a daemon that understood it; if
 			// this one cannot, failing the job beats wedging the spool.
@@ -296,20 +314,12 @@ func (s *Server) recoverSpool() ([]*job, error) {
 		}
 		j := newJob(rec.ID, parsed, rec)
 		j.structHash = structuralHash(parsed.Net)
-		// Shard jobs' exact-engine lattices live in their worker processes,
-		// slab-bounded, never in the daemon's oracle cache — no pin.
-		if parsed.Spec.ExactEngine && !parsed.Sharded() && s.oracles.Budget() > 0 {
-			maxw := parsed.Spec.MaxWindow
-			if maxw <= 0 {
-				maxw = 64
-			}
-			// Re-pin the budget reservation the previous daemon held;
-			// recovered jobs are never dropped for memory, a restart
-			// merely delays new admissions until they finish.
-			if est, eerr := core.EstimateOracleBytes(parsed.Net, maxw); eerr == nil {
-				j.pinned = est
-				s.oraclePinned.Add(est)
-			}
+		// Re-pin the budget reservation the previous daemon held; recovered
+		// jobs are never dropped for memory, a restart merely delays new
+		// admissions until they finish.
+		if est, gated, eerr := s.oracleEstimate(parsed); gated && eerr == nil {
+			j.pinned = est
+			s.oraclePinned.Add(est)
 		}
 		s.jobs[rec.ID] = j
 		s.order = append(s.order, rec.ID)
@@ -324,27 +334,105 @@ func (s *Server) recoverSpool() ([]*job, error) {
 }
 
 // structuralHash fingerprints a network's structure with the arrival
-// rates canonicalised away: the warm-start index must match a job whose
-// traffic drifted but whose topology, routes and capacities did not.
+// rates left out: the warm-start index must match a job whose traffic
+// drifted but whose topology, routes and capacities did not. Every other
+// field goes in, strings and lists length-prefixed, so two networks share
+// an encoding only when they are equal but for their rates. The hash keys
+// only in-memory maps, so nothing persisted depends on its encoding.
 func structuralHash(n *netmodel.Network) string {
 	if n == nil {
 		return ""
 	}
-	c := netmodel.Network{
-		Name:     n.Name,
-		Nodes:    n.Nodes,
-		Channels: n.Channels,
-		Classes:  append([]netmodel.Class(nil), n.Classes...),
+	var b []byte
+	str := func(s string) { b = append(binary.AppendUvarint(b, uint64(len(s))), s...) }
+	num := func(v int) { b = binary.AppendVarint(b, int64(v)) }
+	float := func(x float64) { b = binary.LittleEndian.AppendUint64(b, math.Float64bits(x)) }
+	str(n.Name)
+	num(len(n.Nodes))
+	for _, nd := range n.Nodes {
+		str(nd.Name)
 	}
-	for r := range c.Classes {
-		c.Classes[r].Rate = 1
+	num(len(n.Channels))
+	for _, ch := range n.Channels {
+		str(ch.Name)
+		num(ch.From)
+		num(ch.To)
+		float(ch.Capacity)
+		float(ch.Background)
+		float(ch.PropDelay)
 	}
-	spec, err := c.MarshalSpec()
-	if err != nil {
-		return ""
+	num(len(n.Classes))
+	for _, cl := range n.Classes {
+		str(cl.Name)
+		float(cl.MeanLength)
+		num(cl.Window)
+		float(cl.AckDelay)
+		num(len(cl.Route))
+		for _, l := range cl.Route {
+			num(l)
+		}
 	}
-	sum := sha256.Sum256(spec)
+	sum := sha256.Sum256(b)
 	return hex.EncodeToString(sum[:])
+}
+
+// warmEntry is the warm-start index's value for one structure: the optimum
+// of the done record that finished last, with the record's updated time
+// and id that rank it.
+type warmEntry struct {
+	windows numeric.IntVector
+	updated time.Time
+	id      string
+}
+
+// offerWarm feeds a done record's optimum to the warm-start index. Per
+// structure the record with the latest updated time wins, ties broken by
+// the greater id: the live daemon and a restart over its spool apply the
+// same rule to the same journalled times, so they build the same index
+// whatever order the jobs were created, finished or scanned in.
+func (s *Server) offerWarm(hash string, rec *Record) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if e, ok := s.warm[hash]; ok && (e.updated.After(rec.Updated) ||
+		e.updated.Equal(rec.Updated) && e.id >= rec.ID) {
+		return
+	}
+	s.warm[hash] = warmEntry{
+		windows: append(numeric.IntVector(nil), rec.Result.Windows...),
+		updated: rec.Updated,
+		id:      rec.ID,
+	}
+}
+
+// startFor resolves the initial window vector of a job being admitted:
+// the spec's own, else the warm-start index's optimum for its structure,
+// else nil (the hop-count rule). Exhaustive shard jobs scan the whole box,
+// so only pattern-search jobs take a warm start. The caller holds s.mu.
+func (s *Server) startFor(p *Job, hash string) ([]int, bool) {
+	if start := p.startVector(); start != nil {
+		return start, false
+	}
+	if e, ok := s.warm[hash]; ok && !p.Sharded() && len(e.windows) == len(p.Net.Classes) {
+		return append([]int(nil), e.windows...), true
+	}
+	return nil, false
+}
+
+// oracleEstimate returns the oracle-budget bytes a job pins from admission
+// until it turns terminal, and whether the budget gates it at all: only
+// in-process exact-engine jobs do, and only under a budget. Shard jobs'
+// lattices live in their worker processes, slab-bounded, never in the
+// daemon's oracle cache.
+func (s *Server) oracleEstimate(p *Job) (est int64, gated bool, err error) {
+	if !p.Spec.ExactEngine || p.Sharded() || s.oracles.Budget() <= 0 {
+		return 0, false, nil
+	}
+	maxw := p.Spec.MaxWindow
+	if maxw <= 0 {
+		maxw = 64
+	}
+	est, err = core.EstimateOracleBytes(p.Net, maxw)
+	return est, true, err
 }
 
 func (s *Server) logf(format string, args ...any) { s.cfg.Logf(format, args...) }
@@ -360,12 +448,22 @@ func (s *Server) releasePin(j *job) {
 	}
 }
 
-// journalWrite persists a job's current record.
+// journalWrite persists a job's current record, and hands the time
+// Journal.Write stamped on it back to the job, so GET /jobs/{id} reports
+// the updated time the record file holds.
 func (s *Server) journalWrite(j *job) error {
+	j.wmu.Lock()
+	defer j.wmu.Unlock()
 	j.mu.Lock()
 	rec := *j.rec
 	j.mu.Unlock()
-	return s.journal.Write(&rec)
+	if err := s.journal.Write(&rec); err != nil {
+		return err
+	}
+	j.mu.Lock()
+	j.rec.Updated = rec.Updated
+	j.mu.Unlock()
+	return nil
 }
 
 // lookup finds a job by id.
@@ -481,6 +579,11 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
+	// The per-spec work runs before the server lock, which every other
+	// admission and lookup waits on; its verdict still comes in the gate
+	// order below.
+	hash := structuralHash(parsed.Net)
+	est, gated, estErr := s.oracleEstimate(parsed)
 
 	s.mu.Lock()
 	if s.draining {
@@ -507,18 +610,11 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	// pin the rest — is pushed back with Retry-After rather than letting
 	// the oracle cache blow past the budget mid-run.
 	var pinBytes int64
-	// Shard jobs run their exact evaluations in worker processes with
-	// slab-bounded lattices; the daemon's oracle budget is not involved.
-	if parsed.Spec.ExactEngine && !parsed.Sharded() && s.oracles.Budget() > 0 {
+	if gated {
 		budget := s.oracles.Budget()
-		maxw := parsed.Spec.MaxWindow
-		if maxw <= 0 {
-			maxw = 64
-		}
-		est, eerr := core.EstimateOracleBytes(parsed.Net, maxw)
-		if eerr != nil {
+		if estErr != nil {
 			s.mu.Unlock()
-			writeError(w, http.StatusBadRequest, "estimating oracle size: %v", eerr)
+			writeError(w, http.StatusBadRequest, "estimating oracle size: %v", estErr)
 			return
 		}
 		if est > budget {
@@ -559,18 +655,10 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		Spec:    json.RawMessage(parsed.Raw),
 		Created: time.Now().UTC(),
 	}
-	hash := structuralHash(parsed.Net)
-	if start := parsed.startVector(); start != nil {
-		rec.Start = start
-	} else if prev, ok := s.warm[hash]; ok && !parsed.Sharded() && len(prev) == len(parsed.Net.Classes) {
-		// Exhaustive shard jobs scan the whole box; a warm start would be
-		// meaningless, so only pattern-search jobs take one.
-		// Online re-dimensioning: the same structure was solved before,
-		// so start from its optimum instead of the hop-count rule — when
-		// traffic drifted modestly the new optimum is nearby.
-		rec.Start = append([]int(nil), prev...)
-		rec.WarmStart = true
-	}
+	// Online re-dimensioning: when the same structure was solved before,
+	// start from its optimum instead of the hop-count rule — when traffic
+	// drifted modestly the new optimum is nearby.
+	rec.Start, rec.WarmStart = s.startFor(parsed, hash)
 	j := newJob(id, parsed, rec)
 	j.structHash = hash
 	j.pinned = pinBytes
@@ -579,10 +667,11 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	s.queuedGauge.Add(1)
 	s.mu.Unlock()
 
-	if err := s.journal.Write(rec); err != nil {
+	if err := s.journalWrite(j); err != nil {
 		s.mu.Lock()
 		delete(s.jobs, id)
-		s.order = s.order[:len(s.order)-1]
+		// Other admissions may have appended after this one.
+		s.order = slices.DeleteFunc(s.order, func(o string) bool { return o == id })
 		s.queuedGauge.Add(-1)
 		s.mu.Unlock()
 		s.releasePin(j)
@@ -664,17 +753,13 @@ func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
 		cancel(errCanceled)
 		writeJSON(w, http.StatusAccepted, map[string]any{"id": j.id, "state": "canceling"})
 	case j.rec.State == StateQueued:
+		// Terminal before the lock drops, so a worker taking the job from
+		// the queue now skips it.
 		j.userCanceled = true
 		j.rec.State = StateCanceled
 		j.rec.Error = errCanceled.Error()
 		j.mu.Unlock()
-		if err := s.journalWrite(j); err != nil {
-			s.logf("job %s: journal: %v", j.id, err)
-		}
-		s.journal.RetireCheckpoint(j.id)
-		s.releasePin(j)
-		j.emit(Event{Type: "canceled", Error: errCanceled.Error()})
-		j.close()
+		s.finishTerminal(j, StateCanceled, errCanceled.Error())
 		writeJSON(w, http.StatusOK, map[string]any{"id": j.id, "state": StateCanceled})
 	default:
 		// Running, but the attempt has not installed its cancel handle

@@ -127,6 +127,7 @@ func TestSubmitLifecycle(t *testing.T) {
 	if rec.Result.Evaluations <= 0 {
 		t.Fatalf("no evaluations recorded: %+v", rec.Result)
 	}
+	assertNoParsed(t, s, id)
 
 	// The record survives on disk with the result; the checkpoint is
 	// retired.
@@ -458,6 +459,7 @@ func TestAdmissionQueueBound(t *testing.T) {
 	if rec := recordOf(t, s, idQ); rec.Attempts != 0 {
 		t.Fatalf("canceled queued job ran %d attempts", rec.Attempts)
 	}
+	assertNoParsed(t, s, idQ)
 	// Cancel the running job: acknowledged, then terminal without retry
 	// (user cancellation is not a transient failure).
 	code, _, _ = do(t, s, "DELETE", "/jobs/"+idL, "")
@@ -468,6 +470,7 @@ func TestAdmissionQueueBound(t *testing.T) {
 	if rec.State != StateCanceled || len(rec.Retries) != 0 {
 		t.Fatalf("canceled running job: state %s, %d retries", rec.State, len(rec.Retries))
 	}
+	assertNoParsed(t, s, idL)
 }
 
 // TestFaultContainment checks that a job whose evaluation panics fails
@@ -512,6 +515,7 @@ func TestFaultContainment(t *testing.T) {
 	if boomRec.Attempts != s.cfg.MaxRetries+1 {
 		t.Fatalf("ran %d attempts, want %d", boomRec.Attempts, s.cfg.MaxRetries+1)
 	}
+	assertNoParsed(t, s, "boom")
 
 	healthy := waitTerminal(t, s, healthyID)
 	if healthy.State != StateDone {

@@ -32,22 +32,22 @@ func (s *Server) shardWorkerArgv() ([]string, error) {
 // recovers finished slabs, adopts live leases, and resumes interrupted
 // slabs from their checkpoints — converging to the same bit-identical
 // result an uninterrupted run would have produced.
-func (s *Server) dimensionSharded(j *job, ctx context.Context) (*JobResult, error) {
+func (s *Server) dimensionSharded(j *job, p *Job, ctx context.Context) (*JobResult, error) {
 	argv, err := s.shardWorkerArgv()
 	if err != nil {
 		return nil, err
 	}
-	workers := j.parsed.Spec.Workers
+	workers := p.Spec.Workers
 	if workers > s.cfg.MaxSearchWorkers {
 		workers = s.cfg.MaxSearchWorkers
 	}
 	copts := core.Options{
-		Evaluator:   j.parsed.Evaluator,
-		Objective:   j.parsed.Objective,
+		Evaluator:   p.Evaluator,
+		Objective:   p.Objective,
 		Search:      core.ExhaustiveSearch,
-		MaxWindow:   j.parsed.Spec.MaxWindow,
+		MaxWindow:   p.Spec.MaxWindow,
 		Workers:     workers,
-		ExactEngine: j.parsed.Spec.ExactEngine,
+		ExactEngine: p.Spec.ExactEngine,
 	}
 	sopts := shard.Options{
 		Dir:        s.journal.ShardDir(j.id),
@@ -66,7 +66,7 @@ func (s *Server) dimensionSharded(j *job, ctx context.Context) (*JobResult, erro
 			s.logf("job "+j.id+": "+format, args...)
 		},
 	}
-	if sp := j.parsed.Spec.Shard; sp != nil {
+	if sp := p.Spec.Shard; sp != nil {
 		sopts.Procs = sp.Procs
 		sopts.Slabs = sp.Slabs
 		sopts.AllowLost = sp.AllowLost
@@ -80,7 +80,7 @@ func (s *Server) dimensionSharded(j *job, ctx context.Context) (*JobResult, erro
 		sopts.LeaseTTL = time.Duration(sp.LeaseTTLMS) * time.Millisecond
 		sopts.SlabDeadline = time.Duration(sp.SlabDeadlineMS) * time.Millisecond
 	}
-	res, err := shard.Run(j.parsed.Net, copts, sopts)
+	res, err := shard.Run(p.Net, copts, sopts)
 	if err != nil {
 		return nil, err
 	}
