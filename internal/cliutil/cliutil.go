@@ -82,6 +82,17 @@ func builtin(name string) (*netmodel.Network, error) {
 	}
 }
 
+// Bounds on a generated network. A topo spec is outside input (windim
+// -topo, a windimd job's topo field) and the generators allocate in
+// proportion to these counts, so ParseTopo checks them before generating.
+// The largest specs in use (mesh:100,50,80, clos:12,6,48) sit about 10x
+// below them.
+const (
+	maxTopoNodes    = 1024
+	maxTopoChannels = 16384
+	maxTopoClasses  = 1024
+)
+
 // ParseTopo generates a synthetic network from a generator spec of the
 // form "family:params":
 //
@@ -91,7 +102,8 @@ func builtin(name string) (*netmodel.Network, error) {
 //
 // The same (spec, seed) pair always generates the identical network.
 // Class rates are scaled by the generator so the busiest channel sits at
-// 50% utilisation.
+// 50% utilisation. A spec whose network would exceed maxTopoNodes nodes,
+// maxTopoChannels channels or maxTopoClasses classes is an error.
 func ParseTopo(spec string, seed uint64) (*netmodel.Network, error) {
 	family, params, ok := strings.Cut(spec, ":")
 	if !ok {
@@ -108,6 +120,33 @@ func ParseTopo(spec string, seed uint64) (*netmodel.Network, error) {
 			return nil, fmt.Errorf("cliutil: topo spec %q: bad integer %q", spec, p)
 		}
 		args[i] = x
+	}
+	// Each parameter is bounded first, so the counts below cannot
+	// overflow.
+	limits := [3]int{maxTopoNodes, maxTopoNodes, maxTopoClasses}
+	if family == "mesh" {
+		limits[1] = maxTopoChannels // EXTRA chords
+	}
+	for i, x := range args {
+		if x < 0 || x > limits[i] {
+			return nil, fmt.Errorf("cliutil: topo spec %q: parameter %d outside the bound [0, %d]", spec, x, limits[i])
+		}
+	}
+	nodes, channels := args[0], 0
+	switch family {
+	case "clos":
+		nodes, channels = args[0]+args[1], args[0]*args[1]
+	case "scalefree":
+		// An (M+1)-clique, then M channels per further node.
+		channels = args[1]*(args[1]+1)/2 + (args[0]-args[1]-1)*args[1]
+	case "mesh":
+		channels = args[0] + args[1]
+	}
+	if nodes > maxTopoNodes {
+		return nil, fmt.Errorf("cliutil: topo spec %q: %d nodes exceed the bound of %d", spec, nodes, maxTopoNodes)
+	}
+	if channels > maxTopoChannels {
+		return nil, fmt.Errorf("cliutil: topo spec %q: %d channels exceed the bound of %d", spec, channels, maxTopoChannels)
 	}
 	cfg := topo.GenConfig{Seed: seed}
 	switch family {

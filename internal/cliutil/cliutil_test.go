@@ -1,9 +1,11 @@
 package cliutil
 
 import (
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 )
 
@@ -143,6 +145,40 @@ func TestParseTopo(t *testing.T) {
 	} {
 		if _, err := ParseTopo(bad, 1); err == nil {
 			t.Errorf("spec %q: expected an error", bad)
+		}
+	}
+}
+
+// TestParseTopoBounds: a spec whose network would exceed the node, channel
+// or class bound is refused before any generator runs, with an error that
+// names the bound; every spec the repository's docs, CI, benchmark and
+// tests use still parses.
+func TestParseTopoBounds(t *testing.T) {
+	for spec, bound := range map[string]int{
+		"clos:100000,100000,1": maxTopoNodes,    // a leaves parameter
+		"clos:600,600,4":       maxTopoNodes,    // 1,200 nodes
+		"clos:1000,20,4":       maxTopoChannels, // 20,000 channels
+		"clos:12,6,5000":       maxTopoClasses,
+		"scalefree:2000,2,4":   maxTopoNodes,
+		"scalefree:1024,20,4":  maxTopoChannels, // 20,270 channels
+		"mesh:100,50000,4":     maxTopoChannels, // an EXTRA parameter
+		"mesh:1024,16000,4":    maxTopoChannels, // 17,024 channels
+		"mesh:100,50,2000":     maxTopoClasses,
+		"mesh:-5,0,4":          maxTopoNodes,
+	} {
+		_, err := ParseTopo(spec, 1)
+		if err == nil || !strings.Contains(err.Error(), fmt.Sprint(bound)) {
+			t.Errorf("spec %q: err = %v, want one naming the bound %d", spec, err, bound)
+		}
+	}
+	for _, spec := range []string{
+		"clos:4,2,8", "clos:5,2,8", "clos:6,3,12", "clos:8,4,24", "clos:12,6,48",
+		"scalefree:16,2,10", "scalefree:80,2,48",
+		"mesh:8,3,6", "mesh:8,4,4", "mesh:10,3,3", "mesh:12,4,4", "mesh:48,24,24",
+		"mesh:64,64,48", "mesh:96,48,48", "mesh:100,50,80", "mesh:256,256,48",
+	} {
+		if _, err := ParseTopo(spec, 1); err != nil {
+			t.Errorf("spec %q: %v", spec, err)
 		}
 	}
 }

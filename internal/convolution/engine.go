@@ -5,7 +5,7 @@
 // all live inside one bounding box Hmax. The convolution recursion already
 // computes g at *every* lattice point 0 <= i <= Hmax on its way to
 // g(Hmax), so the engine builds the per-station partial convolutions once
-// at the box and answers EvalAt(H) for any H <= Hmax from cached slices:
+// at the box and answers MeansAt(H) for any H <= Hmax from cached slices:
 //
 //   - throughputs are the ratios beta_w * g(H-e_w)/g(H) (eq. 3.31),
 //   - fixed-rate queue lengths read the cached g_(i+) array (eq. 3.36),
@@ -107,7 +107,7 @@ type Engine struct {
 
 // NewEngine validates net and builds the convolution lattice at the
 // bounding box hmax (one entry per chain). Chain populations recorded in
-// net are ignored; EvalAt supplies the population vector per query.
+// net are ignored; MeansAt supplies the population vector per query.
 func NewEngine(net *qnet.Network, hmax numeric.IntVector, opts EngineOptions) (*Engine, error) {
 	if err := net.Validate(); err != nil {
 		return nil, err
@@ -249,33 +249,6 @@ func (e *Engine) checkQuery(h numeric.IntVector) error {
 	return nil
 }
 
-// EvalAt returns the full exact solution (throughputs, queue lengths,
-// utilisations, marginals) at population vector h, growing the box if h
-// lies outside it. Inside an already-built box the per-chain quantities
-// are slice reads; marginals walk the sub-lattice dominated by h but
-// rebuild nothing.
-func (e *Engine) EvalAt(h numeric.IntVector) (*Solution, error) {
-	if err := e.checkQuery(h); err != nil {
-		return nil, err
-	}
-	e.mu.RLock()
-	if e.lat.covers(h) && e.lat.gMinusReady() {
-		sol, err := e.lat.evalAt(h)
-		e.mu.RUnlock()
-		return sol, err
-	}
-	e.mu.RUnlock()
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if err := e.growLocked(h); err != nil {
-		return nil, err
-	}
-	if err := e.lat.ensureGMinus(-1); err != nil {
-		return nil, err
-	}
-	return e.lat.evalAt(h)
-}
-
 // MeansAt returns throughputs and mean queue lengths at h. For networks
 // of fixed-rate and IS stations (every window-dimensioning model) this is
 // pure slice reads inside a built box; queue-dependent stations add a
@@ -349,23 +322,14 @@ type lattice struct {
 	gPlus []scaled
 	// gMinus[i] is the convolution of all stations except i
 	// (eq. 3.24a). Materialised eagerly for queue-dependent stations
-	// (MeansAt needs those) and lazily for the rest (only full EvalAt
-	// marginals read them).
+	// (MeansAt needs those) and lazily for the rest (only the marginals
+	// of Solve's full solution read them).
 	gMinus []scaled
 }
 
 func (l *lattice) covers(h numeric.IntVector) bool {
 	for w, hw := range h {
 		if hw > l.s.h[w] {
-			return false
-		}
-	}
-	return true
-}
-
-func (l *lattice) gMinusReady() bool {
-	for i := range l.gMinus {
-		if l.gMinus[i].v == nil {
 			return false
 		}
 	}
@@ -694,8 +658,8 @@ func sweepChunks(idxs []int32, workers int, f func(chunk []int32)) {
 	wg.Wait()
 }
 
-// evalAt is the full-solution read path; callers hold at least a read
-// lock and have ensured the box covers h and every g_(i-) exists.
+// evalAt is Solve's full-solution read path; the box must cover h. It
+// materialises every g_(i-) the marginals read.
 func (l *lattice) evalAt(h numeric.IntVector) (*Solution, error) {
 	if err := l.ensureGMinus(-1); err != nil {
 		return nil, err

@@ -69,33 +69,19 @@ func relDiff(a, b float64) float64 {
 }
 
 // compareSolutions checks that an engine evaluation agrees with a fresh
-// Solve at the same population vector to within tol (relative on means,
-// absolute on probabilities).
-func compareSolutions(t *testing.T, tag string, got, want *Solution, tol float64) {
+// Solve at the same population vector to within tol (relative).
+func compareSolutions(t *testing.T, tag string, got *Means, want *Solution, tol float64) {
 	t.Helper()
 	for w := range want.Throughput {
 		if relDiff(got.Throughput[w], want.Throughput[w]) > tol {
 			t.Errorf("%s: chain %d throughput %v vs fresh %v", tag, w, got.Throughput[w], want.Throughput[w])
 		}
 	}
-	rows, cols := len(want.Marginal), len(want.Throughput)
-	for i := 0; i < rows; i++ {
-		for w := 0; w < cols; w++ {
+	for i := 0; i < want.QueueLen.Rows; i++ {
+		for w := range want.Throughput {
 			if relDiff(got.QueueLen.At(i, w), want.QueueLen.At(i, w)) > tol {
 				t.Errorf("%s: station %d chain %d queue %v vs fresh %v",
 					tag, i, w, got.QueueLen.At(i, w), want.QueueLen.At(i, w))
-			}
-		}
-		if relDiff(got.Utilization[i], want.Utilization[i]) > tol {
-			t.Errorf("%s: station %d utilisation %v vs fresh %v", tag, i, got.Utilization[i], want.Utilization[i])
-		}
-		if len(got.Marginal[i]) != len(want.Marginal[i]) {
-			t.Fatalf("%s: station %d marginal length %d vs %d", tag, i, len(got.Marginal[i]), len(want.Marginal[i]))
-		}
-		for k := range want.Marginal[i] {
-			if math.Abs(got.Marginal[i][k]-want.Marginal[i][k]) > tol {
-				t.Errorf("%s: station %d marginal p(%d) %v vs fresh %v",
-					tag, i, k, got.Marginal[i][k], want.Marginal[i][k])
 			}
 		}
 	}
@@ -110,7 +96,7 @@ func compareSolutions(t *testing.T, tag string, got, want *Solution, tol float64
 }
 
 // TestEngineMatchesSolveProperty is the property-test corpus of the
-// acceptance criteria: EvalAt(H) for every H inside a randomized box must
+// acceptance criteria: MeansAt(H) for every H inside a randomized box must
 // agree with a fresh Solve at H to 1e-9.
 func TestEngineMatchesSolveProperty(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
@@ -123,9 +109,9 @@ func TestEngineMatchesSolveProperty(t *testing.T) {
 		// Every point of the box, including the interior and h = 0.
 		numeric.LatticeWalk(hmax, func(p numeric.IntVector) {
 			h := p.Clone()
-			got, err := eng.EvalAt(h)
+			got, err := eng.MeansAt(h)
 			if err != nil {
-				t.Fatalf("trial %d: EvalAt(%v): %v", trial, h, err)
+				t.Fatalf("trial %d: MeansAt(%v): %v", trial, h, err)
 			}
 			want, err := solveFreshAt(t, net, h)
 			if err != nil {
@@ -150,9 +136,9 @@ func TestEngineExtensionMatchesFresh(t *testing.T) {
 		h := hmax.Clone()
 		for step := 0; step < 4; step++ {
 			h[rng.Intn(len(h))] += 1 + rng.Intn(2)
-			got, err := eng.EvalAt(h)
+			got, err := eng.MeansAt(h)
 			if err != nil {
-				t.Fatalf("trial %d step %d: EvalAt(%v): %v", trial, step, h, err)
+				t.Fatalf("trial %d step %d: MeansAt(%v): %v", trial, step, h, err)
 			}
 			if !eng.lat.covers(h) {
 				t.Fatalf("trial %d step %d: box %v does not cover %v", trial, step, eng.Hmax(), h)
@@ -167,7 +153,7 @@ func TestEngineExtensionMatchesFresh(t *testing.T) {
 			for w := range h {
 				interior[w] = h[w] / 2
 			}
-			got, err = eng.EvalAt(interior)
+			got, err = eng.MeansAt(interior)
 			if err != nil {
 				t.Fatalf("trial %d step %d: interior: %v", trial, step, err)
 			}
@@ -270,8 +256,8 @@ func TestEngineParallelBitIdentical(t *testing.T) {
 			if err := eng.EnsureBox(grown); err != nil {
 				t.Fatalf("trial %d: EnsureBox: %v", trial, err)
 			}
-			if _, err := eng.EvalAt(grown); err != nil {
-				t.Fatalf("trial %d: EvalAt: %v", trial, err)
+			if _, err := eng.MeansAt(grown); err != nil {
+				t.Fatalf("trial %d: MeansAt: %v", trial, err)
 			}
 		}
 		sameScaled := func(tag string, a, b scaled) {
@@ -306,41 +292,6 @@ func TestEngineParallelBitIdentical(t *testing.T) {
 	}
 }
 
-// TestEngineMeansMatchesEval checks the cheap read path against the full
-// solution path.
-func TestEngineMeansMatchesEval(t *testing.T) {
-	rng := rand.New(rand.NewSource(41))
-	for trial := 0; trial < 20; trial++ {
-		net, hmax := randomNetwork(rng)
-		eng, err := NewEngine(net, hmax, EngineOptions{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		numeric.LatticeWalk(hmax, func(p numeric.IntVector) {
-			m, err := eng.MeansAt(p)
-			if err != nil {
-				t.Fatalf("MeansAt(%v): %v", p, err)
-			}
-			sol, err := eng.EvalAt(p)
-			if err != nil {
-				t.Fatalf("EvalAt(%v): %v", p, err)
-			}
-			for w := range m.Throughput {
-				if m.Throughput[w] != sol.Throughput[w] {
-					t.Errorf("throughput mismatch at %v chain %d", p, w)
-				}
-			}
-			for i := range net.Stations {
-				for w := range m.Throughput {
-					if relDiff(m.QueueLen.At(i, w), sol.QueueLen.At(i, w)) > 1e-12 {
-						t.Errorf("queue mismatch at %v station %d chain %d", p, i, w)
-					}
-				}
-			}
-		})
-	}
-}
-
 // TestEngineConcurrentEval hammers one engine from many goroutines, mixing
 // in-box evaluations with box growth; run under -race this is the
 // concurrency regression test.
@@ -365,12 +316,6 @@ func TestEngineConcurrentEval(t *testing.T) {
 					t.Errorf("MeansAt(%v): %v", h, err)
 					return
 				}
-				if k%10 == 0 {
-					if _, err := eng.EvalAt(h); err != nil {
-						t.Errorf("EvalAt(%v): %v", h, err)
-						return
-					}
-				}
 			}
 		}(int64(100 + g))
 	}
@@ -392,7 +337,7 @@ func TestEngineBudget(t *testing.T) {
 		t.Fatal("expected budget error on growth")
 	}
 	// Engine still answers inside its old box.
-	if _, err := eng.EvalAt(numeric.IntVector{10}); err != nil {
+	if _, err := eng.MeansAt(numeric.IntVector{10}); err != nil {
 		t.Fatalf("engine unusable after refused growth: %v", err)
 	}
 }
@@ -427,12 +372,12 @@ func TestEngineZeroPopulation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sol, err := eng.EvalAt(numeric.IntVector{0})
+	m, err := eng.MeansAt(numeric.IntVector{0})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sol.Throughput[0] != 0 || sol.G != 1 {
-		t.Fatalf("lambda = %v, G = %v", sol.Throughput[0], sol.G)
+	if m.Throughput[0] != 0 || m.G != 1 {
+		t.Fatalf("lambda = %v, G = %v", m.Throughput[0], m.G)
 	}
 }
 
@@ -456,13 +401,13 @@ func TestEngineMaxBox(t *testing.T) {
 
 	// Inside the bound: identical to the unbounded engine, bit for bit.
 	numeric.LatticeWalk(hmax, func(p numeric.IntVector) {
-		got, err := bounded.EvalAt(p.Clone())
+		got, err := bounded.MeansAt(p.Clone())
 		if err != nil {
-			t.Fatalf("bounded EvalAt(%v): %v", p, err)
+			t.Fatalf("bounded MeansAt(%v): %v", p, err)
 		}
-		want, err := free.EvalAt(p.Clone())
+		want, err := free.MeansAt(p.Clone())
 		if err != nil {
-			t.Fatalf("free EvalAt(%v): %v", p, err)
+			t.Fatalf("free MeansAt(%v): %v", p, err)
 		}
 		for w := range want.Throughput {
 			if math.Float64bits(got.Throughput[w]) != math.Float64bits(want.Throughput[w]) {
@@ -476,8 +421,8 @@ func TestEngineMaxBox(t *testing.T) {
 	for w := range hmax {
 		over := hmax.Clone()
 		over[w]++
-		if _, err := bounded.EvalAt(over); !errors.Is(err, ErrBoxBounded) {
-			t.Fatalf("EvalAt(%v) beyond MaxBox: err = %v, want ErrBoxBounded", over, err)
+		if _, err := bounded.MeansAt(over); !errors.Is(err, ErrBoxBounded) {
+			t.Fatalf("MeansAt(%v) beyond MaxBox: err = %v, want ErrBoxBounded", over, err)
 		}
 		if err := bounded.EnsureBox(over); !errors.Is(err, ErrBoxBounded) {
 			t.Fatalf("EnsureBox(%v) beyond MaxBox: err = %v, want ErrBoxBounded", over, err)

@@ -174,14 +174,12 @@ func (b *BoxScanner) search(n *netmodel.Network, ckpt *pattern.CheckpointOptions
 			start = lo.Clone()
 		}
 		popts := pattern.Options{
-			InitialStep: opts.InitialStep,
-			Lo:          lo,
-			Hi:          hi,
-			MaxHalvings: opts.MaxHalvings,
-			Workers:     opts.Workers,
-			Context:     opts.Context,
-			Checkpoint:  ckpt,
-			Resume:      resume,
+			Lo:         lo,
+			Hi:         hi,
+			Workers:    opts.Workers,
+			Context:    opts.Context,
+			Checkpoint: ckpt,
+			Resume:     resume,
 		}
 		if b.engines[0].useWarm || opts.OnCommit != nil {
 			popts.OnCommit = func(x numeric.IntVector, fx float64) {

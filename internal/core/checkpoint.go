@@ -37,8 +37,11 @@ func modelHash(n *netmodel.Network, opts Options, scenarios []Scenario, robust s
 	}
 	h := sha256.New()
 	h.Write(spec)
-	fmt.Fprintf(h, "|eval=%v|obj=%v|maxw=%d|maxh=%d|coldstart=%t|nofallback=%t",
-		opts.Evaluator, opts.Objective, opts.MaxWindow, opts.MaxHalvings,
+	// maxh=0 and step=() stand for the search's fixed KMAX and unit
+	// starting step; they keep the hash equal to that of checkpoints
+	// written while those two were options, so such files still resume.
+	fmt.Fprintf(h, "|eval=%v|obj=%v|maxw=%d|maxh=0|coldstart=%t|nofallback=%t",
+		opts.Evaluator, opts.Objective, opts.MaxWindow,
 		opts.ColdStart, opts.DisableFallback)
 	if opts.ExactEngine {
 		// Convolution and exact-MVA values agree only to rounding, so
@@ -46,8 +49,8 @@ func modelHash(n *netmodel.Network, opts Options, scenarios []Scenario, robust s
 		// Appended conditionally to leave pre-existing hashes unchanged.
 		fmt.Fprintf(h, "|exactengine=true")
 	}
-	fmt.Fprintf(h, "|start=%v|step=%v|buffers=%v",
-		opts.InitialWindows, opts.InitialStep, opts.BufferLimits)
+	fmt.Fprintf(h, "|start=%v|step=()|buffers=%v",
+		opts.InitialWindows, opts.BufferLimits)
 	fmt.Fprintf(h, "|mva tol=%g damp=%g maxiter=%d",
 		opts.MVA.Tol, opts.MVA.Damping, opts.MVA.MaxIter)
 	fmt.Fprintf(h, "|robust=%s", robust)

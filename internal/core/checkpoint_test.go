@@ -39,7 +39,6 @@ func TestDimensionCheckpointResume(t *testing.T) {
 	far := func() Options {
 		return Options{
 			InitialWindows: numeric.IntVector{16, 16},
-			InitialStep:    numeric.IntVector{4, 4},
 		}
 	}
 	ref, err := Dimension(n, far())
@@ -105,7 +104,6 @@ func TestDimensionCheckpointFullEvery(t *testing.T) {
 	far := func() Options {
 		return Options{
 			InitialWindows: numeric.IntVector{16, 16},
-			InitialStep:    numeric.IntVector{4, 4},
 		}
 	}
 	ref, err := Dimension(n, far())
@@ -298,5 +296,36 @@ func TestDimensionRobustResumeRestoresDegradation(t *testing.T) {
 	// A quorum the restored state cannot meet is rejected up front.
 	if _, err := DimensionRobust(n, scenarios, RobustMinimax, Options{ResumePath: path, MinScenarios: 2}); err == nil {
 		t.Error("resume below quorum accepted")
+	}
+}
+
+// TestModelHashGolden pins modelHash's bytes for three option sets. A
+// checkpoint records the hash it was written under, so any change to the
+// hashed format turns every existing checkpoint into an ErrResume (and
+// windimd silently restarts those jobs' searches from scratch).
+func TestModelHashGolden(t *testing.T) {
+	n := topo.Canada4Class(6, 6, 6, 12)
+	scenarios := []Scenario{
+		{Name: "nominal"},
+		{Name: "ew-half", CapacityScale: []float64{0.5, 1, 1, 1, 1, 1, 1}, RateScale: []float64{1.2, 1, 1, 1}, Weight: 2},
+	}
+	for _, c := range []struct {
+		name      string
+		opts      Options
+		scenarios []Scenario
+		robust    string
+		want      string
+	}{
+		{"canada4", Options{}, nil, "", "197959603208416f26a55da19d94396ba9cd198965b149132fde52579fb75a37"},
+		{"canada4-exact-engine", Options{Evaluator: EvalExactMVA, ExactEngine: true}, nil, "", "ac9507be3c9148c3fc3b44dbcdea7b41def859db0ea174cd1b8fd2ab8336b7cb"},
+		{"canada4-robust", Options{}, scenarios, RobustMinimax.String(), "f154ace19d8fb53a5582eeabf91555176e643ea9e13472cc72e5fe5cea551fa0"},
+	} {
+		got, err := modelHash(n, c.opts, c.scenarios, c.robust)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got != c.want {
+			t.Errorf("%s: modelHash = %s, want %s", c.name, got, c.want)
+		}
 	}
 }

@@ -333,7 +333,3 @@ func (e *Engine) Commit(windows numeric.IntVector) {
 	}
 	e.warm.Store(mva.WarmFromSolution(sol))
 }
-
-// ResetWarm discards the warm-start seed; the next evaluations use the
-// cold initialisation until the next Commit.
-func (e *Engine) ResetWarm() { e.warm.Store(nil) }

@@ -95,15 +95,6 @@ func TestEngineCommitWarmStaysAtFixedPoint(t *testing.T) {
 	if math.Abs(warm.Power-cold.Power) > 1e-4*cold.Power {
 		t.Errorf("warm power %v drifted from cold %v", warm.Power, cold.Power)
 	}
-	// ResetWarm restores the exact cold values.
-	eng.ResetWarm()
-	again, err := eng.Evaluate(numeric.IntVector{3, 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if again.Power != cold.Power {
-		t.Errorf("after ResetWarm power %v, want cold %v", again.Power, cold.Power)
-	}
 }
 
 func TestEngineRejectsBadWindows(t *testing.T) {

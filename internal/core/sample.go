@@ -2,17 +2,19 @@ package core
 
 import (
 	"fmt"
-	"math"
 
 	"repro/internal/netmodel"
 	"repro/internal/rng"
 )
 
-// Defaults for SampleOptions zero values.
+// The perturbations SampleScenarios draws: a degraded channel keeps a
+// capacity scale uniform on [1-sampleMaxDegradation, 1), a surged class
+// gets a rate scale uniform on (1, 1+sampleMaxSurge], and each channel and
+// each class is perturbed with probability samplePerturbProb.
 const (
-	sampleDefaultMaxDegradation = 0.5
-	sampleDefaultMaxSurge       = 0.5
-	sampleDefaultPerturbProb    = 0.35
+	sampleMaxDegradation = 0.5
+	sampleMaxSurge       = 0.5
+	samplePerturbProb    = 0.35
 )
 
 // SampleOptions configures SampleScenarios.
@@ -24,59 +26,15 @@ type SampleOptions struct {
 	// from the SubSeed(Seed, i) stream, so scenario k is the same vector
 	// whatever Count is — growing a set keeps its prefix.
 	Seed uint64
-	// MaxDegradation bounds how far a degraded channel's capacity falls:
-	// scales are uniform on [1-MaxDegradation, 1). Must lie in (0, 1);
-	// 0 means 0.5.
-	MaxDegradation float64
-	// MaxSurge bounds class surges: rate scales are uniform on
-	// (1, 1+MaxSurge]. Must be positive; 0 means 0.5.
-	MaxSurge float64
-	// DegradeProb and SurgeProb are the per-channel and per-class
-	// probabilities of being perturbed in a scenario. In [0, 1]; 0 means
-	// 0.35.
-	DegradeProb float64
-	SurgeProb   float64
 	// KeepDominated disables the dominance pruning (see
 	// PruneDominatedScenarios) of the sampled set.
 	KeepDominated bool
 }
 
-func (o SampleOptions) withDefaults() (SampleOptions, error) {
-	if o.Count < 1 {
-		return o, fmt.Errorf("core: sample count %d; need >= 1", o.Count)
-	}
-	if o.MaxDegradation == 0 {
-		o.MaxDegradation = sampleDefaultMaxDegradation
-	}
-	if o.MaxSurge == 0 {
-		o.MaxSurge = sampleDefaultMaxSurge
-	}
-	if o.DegradeProb == 0 {
-		o.DegradeProb = sampleDefaultPerturbProb
-	}
-	if o.SurgeProb == 0 {
-		o.SurgeProb = sampleDefaultPerturbProb
-	}
-	if math.IsNaN(o.MaxDegradation) || o.MaxDegradation <= 0 || o.MaxDegradation >= 1 {
-		return o, fmt.Errorf("core: max degradation %v outside (0, 1)", o.MaxDegradation)
-	}
-	if math.IsNaN(o.MaxSurge) || o.MaxSurge <= 0 || math.IsInf(o.MaxSurge, 0) {
-		return o, fmt.Errorf("core: max surge %v; need a positive finite value", o.MaxSurge)
-	}
-	if math.IsNaN(o.DegradeProb) || o.DegradeProb < 0 || o.DegradeProb > 1 {
-		return o, fmt.Errorf("core: degrade probability %v outside [0, 1]", o.DegradeProb)
-	}
-	if math.IsNaN(o.SurgeProb) || o.SurgeProb < 0 || o.SurgeProb > 1 {
-		return o, fmt.Errorf("core: surge probability %v outside [0, 1]", o.SurgeProb)
-	}
-	return o, nil
-}
-
 // SampleScenarios draws a deterministic random scenario set for the
 // network: each scenario independently degrades each channel's capacity
-// with probability DegradeProb (uniform scale in [1-MaxDegradation, 1))
-// and surges each class's arrival rate with probability SurgeProb
-// (uniform scale in (1, 1+MaxSurge]). All scenarios carry weight 1.
+// and surges each class's arrival rate, each with probability
+// samplePerturbProb. All scenarios carry weight 1.
 //
 // Unless KeepDominated is set, scenarios that are pointwise no harsher
 // than another sampled scenario are pruned (see
@@ -87,9 +45,8 @@ func SampleScenarios(n *netmodel.Network, opts SampleOptions) ([]Scenario, error
 	if err := n.Validate(); err != nil {
 		return nil, err
 	}
-	opts, err := opts.withDefaults()
-	if err != nil {
-		return nil, err
+	if opts.Count < 1 {
+		return nil, fmt.Errorf("core: sample count %d; need >= 1", opts.Count)
 	}
 	scenarios := make([]Scenario, 0, opts.Count)
 	for i := 0; i < opts.Count; i++ {
@@ -101,13 +58,13 @@ func SampleScenarios(n *netmodel.Network, opts SampleOptions) ([]Scenario, error
 			Weight:        1,
 		}
 		for l := range sc.CapacityScale {
-			if st.Float64() < opts.DegradeProb {
-				sc.CapacityScale[l] = 1 - opts.MaxDegradation*st.Float64()
+			if st.Float64() < samplePerturbProb {
+				sc.CapacityScale[l] = 1 - sampleMaxDegradation*st.Float64()
 			}
 		}
 		for r := range sc.RateScale {
-			if st.Float64() < opts.SurgeProb {
-				sc.RateScale[r] = 1 + opts.MaxSurge*st.Float64()
+			if st.Float64() < samplePerturbProb {
+				sc.RateScale[r] = 1 + sampleMaxSurge*st.Float64()
 			}
 		}
 		if err := sc.validate(n); err != nil {

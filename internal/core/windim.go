@@ -197,15 +197,10 @@ type Options struct {
 	Objective ObjectiveKind
 	// InitialWindows overrides the hop-count starting vector.
 	InitialWindows numeric.IntVector
-	// InitialStep overrides the all-ones starting step of the pattern
-	// search.
-	InitialStep numeric.IntVector
 	// MaxWindow bounds every window from above; <= 0 means 64 (far above
 	// any power-optimal setting for the networks considered — optima
 	// shrink, not grow, with load).
 	MaxWindow int
-	// MaxHalvings is the pattern search KMAX; 0 means 2.
-	MaxHalvings int
 	// Workers parallelises candidate evaluation across goroutines: the
 	// exhaustive search splits its box across Workers, and the pattern
 	// search evaluates each pass's exploratory probes on Workers

@@ -12,7 +12,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/mva"
 	"repro/internal/numeric"
-	"repro/internal/power"
 	"repro/internal/report"
 	"repro/internal/sim"
 	"repro/internal/topo"
@@ -460,20 +459,4 @@ func RenderAblation(w io.Writer, s [4]float64, rows []AblationRow) error {
 	}
 	_, err := t.WriteTo(w)
 	return err
-}
-
-// KleinrockCheck verifies eq. 4.21's optimum on a p-hop tandem: the
-// closed-chain model's power-optimal window equals the hop count when
-// there is no cross-traffic. Returns (modelOptimal, hopRule) pairs.
-func KleinrockCheck(hops int, rate float64) (numeric.IntVector, int, error) {
-	n, err := topo.Tandem(hops, 50000, rate, 1000)
-	if err != nil {
-		return nil, 0, err
-	}
-	res, err := core.Dimension(n, core.Options{Evaluator: core.EvalExactMVA, Search: core.ExhaustiveSearch, MaxWindow: 3*hops + 4})
-	if err != nil {
-		return nil, 0, err
-	}
-	k := power.Kleinrock{Hops: hops, Mu: 50}
-	return res.Windows, k.OptimalWindow(), nil
 }

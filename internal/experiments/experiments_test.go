@@ -5,6 +5,9 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/numeric"
+	"repro/internal/power"
+	"repro/internal/topo"
 )
 
 func TestTable47ShapeMatchesPaper(t *testing.T) {
@@ -253,6 +256,22 @@ func TestAblation(t *testing.T) {
 	if err := RenderAblation(&b, [4]float64{6, 6, 6, 12}, rows); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// KleinrockCheck verifies eq. 4.21's optimum on a p-hop tandem: the
+// closed-chain model's power-optimal window equals the hop count when
+// there is no cross-traffic. Returns (modelOptimal, hopRule) pairs.
+func KleinrockCheck(hops int, rate float64) (numeric.IntVector, int, error) {
+	n, err := topo.Tandem(hops, 50000, rate, 1000)
+	if err != nil {
+		return nil, 0, err
+	}
+	res, err := core.Dimension(n, core.Options{Evaluator: core.EvalExactMVA, Search: core.ExhaustiveSearch, MaxWindow: 3*hops + 4})
+	if err != nil {
+		return nil, 0, err
+	}
+	k := power.Kleinrock{Hops: hops, Mu: 50}
+	return res.Windows, k.OptimalWindow(), nil
 }
 
 func TestKleinrockCheck(t *testing.T) {

@@ -211,3 +211,41 @@ func TestClosedModelInvalidNetwork(t *testing.T) {
 		t.Fatal("expected validation error")
 	}
 }
+
+func TestClosedModelWithAckStation(t *testing.T) {
+	n := line3()
+	n.Classes[0].AckDelay = 0.05
+	model, excluded, err := n.ClosedModel(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// 2 channels + 1 source + 1 ack.
+	if model.N() != 4 {
+		t.Fatalf("stations = %d, want 4", model.N())
+	}
+	if len(excluded[0]) != 2 || excluded[0][0] != 2 || excluded[0][1] != 3 {
+		t.Errorf("excluded = %v", excluded)
+	}
+	if model.Stations[3].Kind.String() != "IS" {
+		t.Errorf("ack station kind = %v", model.Stations[3].Kind)
+	}
+	if got := model.Chains[0].ServTime[3]; got != 0.05 {
+		t.Errorf("ack service time = %v", got)
+	}
+	// Chain visits 4 stations cyclically.
+	if model.Chains[0].Visits[3] != 1 {
+		t.Error("chain does not visit the ack station")
+	}
+}
+
+func TestValidateRejectsBadAckDelay(t *testing.T) {
+	n := line3()
+	n.Classes[0].AckDelay = -1
+	if err := n.Validate(); err == nil || !strings.Contains(err.Error(), "ack delay") {
+		t.Fatalf("expected ack-delay error, got %v", err)
+	}
+	n.Classes[0].AckDelay = math.Inf(1)
+	if err := n.Validate(); err == nil {
+		t.Fatal("expected error for infinite ack delay")
+	}
+}

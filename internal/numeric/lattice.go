@@ -48,16 +48,6 @@ func (v IntVector) AllNonNegative() bool {
 	return true
 }
 
-// AllPositive reports whether every element is >= 1.
-func (v IntVector) AllPositive() bool {
-	for _, x := range v {
-		if x < 1 {
-			return false
-		}
-	}
-	return true
-}
-
 // Key returns a compact unique string key for v, suitable as a map key for
 // memoisation (the APL WINDIM program kept the analogous XCMP table).
 func (v IntVector) Key() string {

@@ -30,12 +30,6 @@ func TestIntVectorPredicates(t *testing.T) {
 	if (IntVector{0, -1}).AllNonNegative() {
 		t.Error("AllNonNegative false positive")
 	}
-	if !(IntVector{1, 2}).AllPositive() {
-		t.Error("AllPositive false negative")
-	}
-	if (IntVector{1, 0}).AllPositive() {
-		t.Error("AllPositive false positive")
-	}
 }
 
 func TestIntVectorKey(t *testing.T) {

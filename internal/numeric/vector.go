@@ -3,13 +3,11 @@
 //
 // The package is deliberately self-contained (standard library only): the
 // solvers in internal/convolution and internal/mva need nothing beyond
-// Gaussian elimination, series convolution and population-lattice
-// enumeration, so pulling in an external numerics dependency would be all
-// cost and no benefit.
+// series convolution and population-lattice enumeration, so pulling in an
+// external numerics dependency would be all cost and no benefit.
 package numeric
 
 import (
-	"errors"
 	"fmt"
 	"math"
 )
@@ -39,19 +37,6 @@ func (v Vector) Sum() float64 {
 	s := 0.0
 	for _, x := range v {
 		s += x
-	}
-	return s
-}
-
-// Dot returns the inner product of v and w.
-// It panics if the lengths differ.
-func (v Vector) Dot(w Vector) float64 {
-	if len(v) != len(w) {
-		panic(fmt.Sprintf("numeric: Dot length mismatch %d vs %d", len(v), len(w)))
-	}
-	s := 0.0
-	for i, x := range v {
-		s += x * w[i]
 	}
 	return s
 }
@@ -137,9 +122,6 @@ func (m *Matrix) At(i, j int) float64 { return m.Data[i*m.Cols+j] }
 // Set assigns element (i, j).
 func (m *Matrix) Set(i, j int, x float64) { m.Data[i*m.Cols+j] = x }
 
-// Row returns row i as a slice aliasing the matrix storage.
-func (m *Matrix) Row(i int) Vector { return Vector(m.Data[i*m.Cols : (i+1)*m.Cols]) }
-
 // Zero sets every element to 0.
 func (m *Matrix) Zero() {
 	for i := range m.Data {
@@ -152,75 +134,4 @@ func (m *Matrix) Clone() *Matrix {
 	c := NewMatrix(m.Rows, m.Cols)
 	copy(c.Data, m.Data)
 	return c
-}
-
-// MulVec returns m·v. It panics if dimensions are incompatible.
-func (m *Matrix) MulVec(v Vector) Vector {
-	if len(v) != m.Cols {
-		panic(fmt.Sprintf("numeric: MulVec dimension mismatch %dx%d · %d", m.Rows, m.Cols, len(v)))
-	}
-	out := NewVector(m.Rows)
-	for i := 0; i < m.Rows; i++ {
-		out[i] = m.Row(i).Dot(v)
-	}
-	return out
-}
-
-// ErrSingular is returned by the linear solvers when the system matrix is
-// singular (or numerically indistinguishable from singular).
-var ErrSingular = errors.New("numeric: singular matrix")
-
-// SolveLinear solves A·x = b by Gaussian elimination with partial
-// pivoting, destroying neither input. It returns ErrSingular when A has no
-// usable pivot. Intended for the small systems (tens of unknowns) arising
-// from traffic equations; O(n^3).
-func SolveLinear(a *Matrix, b Vector) (Vector, error) {
-	n := a.Rows
-	if a.Cols != n {
-		return nil, fmt.Errorf("numeric: SolveLinear needs a square matrix, got %dx%d", a.Rows, a.Cols)
-	}
-	if len(b) != n {
-		return nil, fmt.Errorf("numeric: SolveLinear rhs length %d != %d", len(b), n)
-	}
-	// Work on copies.
-	m := a.Clone()
-	x := b.Clone()
-	for col := 0; col < n; col++ {
-		// Partial pivot.
-		pivot, pivotAbs := col, math.Abs(m.At(col, col))
-		for r := col + 1; r < n; r++ {
-			if abs := math.Abs(m.At(r, col)); abs > pivotAbs {
-				pivot, pivotAbs = r, abs
-			}
-		}
-		if pivotAbs < 1e-300 {
-			return nil, ErrSingular
-		}
-		if pivot != col {
-			for j := 0; j < n; j++ {
-				m.Data[col*n+j], m.Data[pivot*n+j] = m.Data[pivot*n+j], m.Data[col*n+j]
-			}
-			x[col], x[pivot] = x[pivot], x[col]
-		}
-		inv := 1.0 / m.At(col, col)
-		for r := col + 1; r < n; r++ {
-			f := m.At(r, col) * inv
-			if f == 0 {
-				continue
-			}
-			for j := col; j < n; j++ {
-				m.Set(r, j, m.At(r, j)-f*m.At(col, j))
-			}
-			x[r] -= f * x[col]
-		}
-	}
-	// Back substitution.
-	for i := n - 1; i >= 0; i-- {
-		s := x[i]
-		for j := i + 1; j < n; j++ {
-			s -= m.At(i, j) * x[j]
-		}
-		x[i] = s / m.At(i, i)
-	}
-	return x, nil
 }

@@ -321,85 +321,6 @@ func (n *Network) ChainStations() [][]int {
 	return out
 }
 
-// StationChains returns, for each station, the indices of the chains that
-// visit it (R(i) in the thesis's notation).
-func (n *Network) StationChains() [][]int {
-	out := make([][]int, n.N())
-	for r := range n.Chains {
-		for i, v := range n.Chains[r].Visits {
-			if v > 0 {
-				out[i] = append(out[i], r)
-			}
-		}
-	}
-	return out
-}
-
-// VisitsFromRouting derives a closed chain's visit ratios from a routing
-// probability matrix: e = e·P with e[ref] fixed to 1 (eq. 3.15a with
-// q = 0). P must be a stochastic matrix over the stations the chain uses
-// (rows summing to 1; rows of unvisited stations may be all zero). The
-// reference station ref must be part of the chain's strongly-connected
-// component.
-func VisitsFromRouting(p *numeric.Matrix, ref int) (numeric.Vector, error) {
-	n := p.Rows
-	if p.Cols != n {
-		return nil, fmt.Errorf("qnet: routing matrix must be square, got %dx%d", p.Rows, p.Cols)
-	}
-	if ref < 0 || ref >= n {
-		return nil, fmt.Errorf("qnet: reference station %d out of range [0,%d)", ref, n)
-	}
-	for i := 0; i < n; i++ {
-		sum := 0.0
-		zero := true
-		for j := 0; j < n; j++ {
-			v := p.At(i, j)
-			if v < 0 {
-				return nil, fmt.Errorf("qnet: negative routing probability P[%d][%d] = %v", i, j, v)
-			}
-			if v != 0 {
-				zero = false
-			}
-			sum += v
-		}
-		if !zero && math.Abs(sum-1) > 1e-9 {
-			return nil, fmt.Errorf("qnet: routing row %d sums to %v, want 1", i, sum)
-		}
-	}
-	// Solve e(I - P) = 0 with e[ref] = 1: transpose to (I - P^T) e^T = 0,
-	// replace equation ref with e[ref] = 1.
-	a := numeric.NewMatrix(n, n)
-	b := numeric.NewVector(n)
-	for i := 0; i < n; i++ {
-		for j := 0; j < n; j++ {
-			// Row i of a: balance at station i: e_i = sum_j e_j P[j][i].
-			v := -p.At(j, i)
-			if i == j {
-				v++
-			}
-			a.Set(i, j, v)
-		}
-	}
-	for j := 0; j < n; j++ {
-		a.Set(ref, j, 0)
-	}
-	a.Set(ref, ref, 1)
-	b[ref] = 1
-	e, err := numeric.SolveLinear(a, b)
-	if err != nil {
-		return nil, fmt.Errorf("qnet: traffic equations unsolvable (disconnected routing?): %w", err)
-	}
-	for i, v := range e {
-		if v < -1e-9 {
-			return nil, fmt.Errorf("qnet: traffic equations yield negative visit ratio %v at station %d", v, i)
-		}
-		if v < 0 {
-			e[i] = 0
-		}
-	}
-	return e, nil
-}
-
 // CyclicChain builds a closed cyclic chain visiting the given stations in
 // order, each exactly once per cycle, with the given per-visit mean
 // service times. nStations is the total station count of the enclosing

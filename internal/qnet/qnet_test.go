@@ -4,7 +4,6 @@ import (
 	"math"
 	"strings"
 	"testing"
-	"testing/quick"
 
 	"repro/internal/numeric"
 )
@@ -173,69 +172,6 @@ func TestChainStationsAndStationChains(t *testing.T) {
 	if len(cs[0]) != 2 || cs[0][0] != 0 || cs[0][1] != 2 {
 		t.Errorf("ChainStations[0] = %v", cs[0])
 	}
-	sc := n.StationChains()
-	if len(sc[2]) != 2 || len(sc[0]) != 1 || sc[0][0] != 0 {
-		t.Errorf("StationChains = %v", sc)
-	}
-}
-
-func TestVisitsFromRoutingCycle(t *testing.T) {
-	// 3-station cycle: 0 -> 1 -> 2 -> 0. All visit ratios equal.
-	p := numeric.NewMatrix(3, 3)
-	p.Set(0, 1, 1)
-	p.Set(1, 2, 1)
-	p.Set(2, 0, 1)
-	e, err := VisitsFromRouting(p, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, v := range e {
-		if math.Abs(v-1) > 1e-9 {
-			t.Errorf("e[%d] = %v, want 1", i, v)
-		}
-	}
-}
-
-func TestVisitsFromRoutingBranch(t *testing.T) {
-	// Station 0 splits 30/70 to stations 1 and 2, both return to 0.
-	p := numeric.NewMatrix(3, 3)
-	p.Set(0, 1, 0.3)
-	p.Set(0, 2, 0.7)
-	p.Set(1, 0, 1)
-	p.Set(2, 0, 1)
-	e, err := VisitsFromRouting(p, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(e[0]-1) > 1e-9 || math.Abs(e[1]-0.3) > 1e-9 || math.Abs(e[2]-0.7) > 1e-9 {
-		t.Errorf("e = %v, want [1 0.3 0.7]", e)
-	}
-}
-
-func TestVisitsFromRoutingErrors(t *testing.T) {
-	p := numeric.NewMatrix(2, 3)
-	if _, err := VisitsFromRouting(p, 0); err == nil {
-		t.Error("expected non-square error")
-	}
-	q := numeric.NewMatrix(2, 2)
-	q.Set(0, 1, 0.5) // row sums to 0.5: invalid for a closed chain
-	q.Set(1, 0, 1)
-	if _, err := VisitsFromRouting(q, 0); err == nil {
-		t.Error("expected row-sum error")
-	}
-	r := numeric.NewMatrix(2, 2)
-	r.Set(0, 1, -1)
-	r.Set(0, 0, 2)
-	r.Set(1, 0, 1)
-	if _, err := VisitsFromRouting(r, 0); err == nil {
-		t.Error("expected negativity error")
-	}
-	s := numeric.NewMatrix(2, 2)
-	s.Set(0, 1, 1)
-	s.Set(1, 0, 1)
-	if _, err := VisitsFromRouting(s, 5); err == nil {
-		t.Error("expected reference range error")
-	}
 }
 
 func TestCyclicChain(t *testing.T) {
@@ -269,49 +205,5 @@ func TestCyclicChainErrors(t *testing.T) {
 	}
 	if _, err := CyclicChain("x", 3, 1, []int{0, 0}, []float64{1, 1}); err == nil {
 		t.Error("expected duplicate-station error")
-	}
-}
-
-// Property: VisitsFromRouting solutions satisfy the traffic equations.
-func TestVisitsFromRoutingProperty(t *testing.T) {
-	f := func(seed int64) bool {
-		s := seed
-		next := func() float64 {
-			s = s*6364136223846793005 + 1442695040888963407
-			return float64(uint64(s)>>11) / float64(1<<53)
-		}
-		const n = 4
-		p := numeric.NewMatrix(n, n)
-		for i := 0; i < n; i++ {
-			row := make([]float64, n)
-			sum := 0.0
-			for j := 0; j < n; j++ {
-				row[j] = next() + 0.05 // strictly positive: irreducible
-				sum += row[j]
-			}
-			for j := 0; j < n; j++ {
-				p.Set(i, j, row[j]/sum)
-			}
-		}
-		e, err := VisitsFromRouting(p, 0)
-		if err != nil {
-			return false
-		}
-		if math.Abs(e[0]-1) > 1e-9 {
-			return false
-		}
-		for i := 0; i < n; i++ {
-			sum := 0.0
-			for j := 0; j < n; j++ {
-				sum += e[j] * p.At(j, i)
-			}
-			if math.Abs(sum-e[i]) > 1e-8 {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
 	}
 }

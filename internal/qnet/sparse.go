@@ -160,10 +160,6 @@ func Compile(n *Network) *Sparse {
 	return sp
 }
 
-// Deg returns the number of stations chain r visits (its route length in
-// the compiled model).
-func (s *Sparse) Deg(r int) int { return int(s.ChainPtr[r+1] - s.ChainPtr[r]) }
-
 // Entries returns the total number of (chain, station) visit pairs — the
 // quantity the sparse sweeps scale with.
 func (s *Sparse) Entries() int { return len(s.EntStation) }

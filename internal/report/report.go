@@ -187,56 +187,3 @@ func Chart(w io.Writer, title string, width, height int, series ...Series) error
 	_, err := io.WriteString(w, b.String())
 	return err
 }
-
-// CSV writes the series as a wide CSV: x, then one column per series
-// (rows are the union of x values; series are sampled by exact x match).
-func CSV(w io.Writer, series ...Series) error {
-	seen := map[float64]bool{}
-	var xs []float64
-	for _, s := range series {
-		for _, x := range s.X {
-			if !seen[x] {
-				seen[x] = true
-				xs = append(xs, x)
-			}
-		}
-	}
-	sortFloats(xs)
-	var b strings.Builder
-	b.WriteString("x")
-	for _, s := range series {
-		b.WriteString(",")
-		b.WriteString(s.Name)
-	}
-	b.WriteByte('\n')
-	for _, x := range xs {
-		b.WriteString(strconv.FormatFloat(x, 'g', -1, 64))
-		for _, s := range series {
-			b.WriteString(",")
-			found := false
-			for i := range s.X {
-				if s.X[i] == x {
-					b.WriteString(strconv.FormatFloat(s.Y[i], 'g', -1, 64))
-					found = true
-					break
-				}
-			}
-			if !found {
-				// Empty cell for a series without this x.
-				_ = found
-			}
-		}
-		b.WriteByte('\n')
-	}
-	_, err := io.WriteString(w, b.String())
-	return err
-}
-
-func sortFloats(xs []float64) {
-	// Insertion sort: the series here have tens of points.
-	for i := 1; i < len(xs); i++ {
-		for j := i; j > 0 && xs[j] < xs[j-1]; j-- {
-			xs[j], xs[j-1] = xs[j-1], xs[j]
-		}
-	}
-}

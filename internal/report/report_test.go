@@ -82,21 +82,3 @@ func TestChartRejectsEmpty(t *testing.T) {
 		t.Fatal("expected error for unplottable chart")
 	}
 }
-
-func TestCSV(t *testing.T) {
-	var b strings.Builder
-	err := CSV(&b,
-		Series{Name: "a", X: []float64{1, 2}, Y: []float64{10, 20}},
-		Series{Name: "b", X: []float64{2, 1}, Y: []float64{200, 100}},
-	)
-	if err != nil {
-		t.Fatal(err)
-	}
-	lines := strings.Split(strings.TrimSpace(b.String()), "\n")
-	if lines[0] != "x,a,b" {
-		t.Errorf("header = %q", lines[0])
-	}
-	if lines[1] != "1,10,100" || lines[2] != "2,20,200" {
-		t.Errorf("rows = %v", lines[1:])
-	}
-}

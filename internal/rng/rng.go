@@ -224,89 +224,3 @@ func (s *Stream) Intn(n int) int {
 	}
 	return int(s.Uint64() % uint64(n))
 }
-
-// Poisson returns a Poisson variate with the given mean. For small means
-// it uses Knuth's product method; for large means, the normal
-// approximation with continuity correction (adequate for workload
-// generation, where mean > 30 variates are bulk counts).
-func (s *Stream) Poisson(mean float64) int {
-	if mean <= 0 {
-		return 0
-	}
-	if mean < 30 {
-		limit := math.Exp(-mean)
-		k := 0
-		p := 1.0
-		for {
-			p *= s.Float64()
-			if p <= limit {
-				return k
-			}
-			k++
-		}
-	}
-	v := mean + math.Sqrt(mean)*s.Normal() + 0.5
-	if v < 0 {
-		return 0
-	}
-	return int(v)
-}
-
-// Normal returns a standard normal variate (Marsaglia polar method).
-func (s *Stream) Normal() float64 {
-	for {
-		u := 2*s.Float64() - 1
-		v := 2*s.Float64() - 1
-		q := u*u + v*v
-		if q > 0 && q < 1 {
-			return u * math.Sqrt(-2*math.Log(q)/q)
-		}
-	}
-}
-
-// Choose returns an index in [0, len(weights)) with probability
-// proportional to weights[i]. It panics if the weights are empty, any is
-// negative, or all are zero; routing probability rows are validated at
-// model construction so this is a programmer-error guard.
-func (s *Stream) Choose(weights []float64) int {
-	total := 0.0
-	for i, w := range weights {
-		if w < 0 {
-			panic("rng: negative weight at index " + itoa(i))
-		}
-		total += w
-	}
-	if len(weights) == 0 || total == 0 {
-		panic("rng: Choose requires a positive total weight")
-	}
-	x := s.Float64() * total
-	for i, w := range weights {
-		x -= w
-		if x < 0 {
-			return i
-		}
-	}
-	return len(weights) - 1 // floating-point tail
-}
-
-func itoa(i int) string {
-	if i == 0 {
-		return "0"
-	}
-	neg := i < 0
-	if neg {
-		i = -i
-	}
-	var b [20]byte
-	p := len(b)
-	for i > 0 {
-		p--
-		b[p] = byte('0' + i%10)
-		i /= 10
-	}
-	if neg {
-		p--
-		b[p] = '-'
-	}
-	return string(b[p:])
-}

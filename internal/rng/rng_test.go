@@ -141,82 +141,6 @@ func TestIntnPanics(t *testing.T) {
 	New(1).Intn(0)
 }
 
-func TestPoissonMoments(t *testing.T) {
-	for _, mean := range []float64{0.5, 3, 12, 60} {
-		s := New(uint64(100 * mean))
-		const n = 200000
-		sum, sumSq := 0.0, 0.0
-		for i := 0; i < n; i++ {
-			x := float64(s.Poisson(mean))
-			sum += x
-			sumSq += x * x
-		}
-		m := sum / n
-		v := sumSq/n - m*m
-		if math.Abs(m-mean) > 0.05*mean+0.02 {
-			t.Errorf("Poisson(%v) mean = %v", mean, m)
-		}
-		if math.Abs(v-mean) > 0.08*mean+0.05 {
-			t.Errorf("Poisson(%v) variance = %v", mean, v)
-		}
-	}
-	if got := New(1).Poisson(0); got != 0 {
-		t.Errorf("Poisson(0) = %d", got)
-	}
-	if got := New(1).Poisson(-1); got != 0 {
-		t.Errorf("Poisson(-1) = %d", got)
-	}
-}
-
-func TestNormalMoments(t *testing.T) {
-	s := New(13)
-	const n = 400000
-	sum, sumSq := 0.0, 0.0
-	for i := 0; i < n; i++ {
-		x := s.Normal()
-		sum += x
-		sumSq += x * x
-	}
-	mean := sum / n
-	variance := sumSq/n - mean*mean
-	if math.Abs(mean) > 0.01 {
-		t.Errorf("Normal mean = %v", mean)
-	}
-	if math.Abs(variance-1) > 0.02 {
-		t.Errorf("Normal variance = %v", variance)
-	}
-}
-
-func TestChoose(t *testing.T) {
-	s := New(21)
-	weights := []float64{1, 0, 3}
-	var counts [3]int
-	const n = 100000
-	for i := 0; i < n; i++ {
-		counts[s.Choose(weights)]++
-	}
-	if counts[1] != 0 {
-		t.Errorf("zero-weight branch chosen %d times", counts[1])
-	}
-	frac0 := float64(counts[0]) / n
-	if math.Abs(frac0-0.25) > 0.01 {
-		t.Errorf("branch 0 fraction = %v, want 0.25", frac0)
-	}
-}
-
-func TestChoosePanics(t *testing.T) {
-	for _, weights := range [][]float64{nil, {}, {0, 0}, {1, -1}} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("expected panic for weights %v", weights)
-				}
-			}()
-			New(1).Choose(weights)
-		}()
-	}
-}
-
 // Property: Intn is always within bounds for any positive n and seed.
 func TestIntnProperty(t *testing.T) {
 	f := func(seed uint64, n16 uint16) bool {

@@ -267,10 +267,6 @@ func (s *Server) searchOptions(j *job, p *Job, ctx context.Context, start numeri
 	if workers > s.cfg.MaxSearchWorkers {
 		workers = s.cfg.MaxSearchWorkers
 	}
-	every := p.Spec.CheckpointEvery
-	if every <= 0 {
-		every = s.cfg.CheckpointEvery
-	}
 	opts := core.Options{
 		Evaluator:       p.Evaluator,
 		Objective:       p.Objective,
@@ -284,7 +280,7 @@ func (s *Server) searchOptions(j *job, p *Job, ctx context.Context, start numeri
 		MinScenarios:    p.Spec.MinScenarios,
 		Context:         ctx,
 		CheckpointPath:  s.journal.CheckpointPath(j.id),
-		CheckpointEvery: every,
+		CheckpointEvery: p.Spec.CheckpointEvery,
 		OnCommit: func(x numeric.IntVector, fx float64) {
 			ev := Event{Type: "commit", Windows: append([]int(nil), x...)}
 			if fx > 0 && !math.IsInf(fx, 0) && !math.IsNaN(fx) {

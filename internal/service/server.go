@@ -54,9 +54,6 @@ type Config struct {
 	// MaxSearchWorkers clamps the per-job search parallelism a spec may
 	// request (default 4).
 	MaxSearchWorkers int
-	// CheckpointEvery sets the durable checkpoint cadence (default 1 —
-	// every commit).
-	CheckpointEvery int
 	// ShardWorkerArgv overrides the worker command of kind:"shard" jobs;
 	// empty means this executable with -shard-worker (which windimd
 	// dispatches before flag parsing).
@@ -86,9 +83,6 @@ func (c *Config) fillDefaults() {
 	}
 	if c.MaxSearchWorkers <= 0 {
 		c.MaxSearchWorkers = 4
-	}
-	if c.CheckpointEvery <= 0 {
-		c.CheckpointEvery = 1
 	}
 	if c.Logf == nil {
 		c.Logf = log.Printf
@@ -798,8 +792,11 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 		if closed {
 			return
 		}
+		// j.done covers a close that lands after the last event was
+		// read: no event follows it to close notify.
 		select {
 		case <-notify:
+		case <-j.done:
 		case <-r.Context().Done():
 			return
 		case <-s.ctx.Done():

@@ -4,7 +4,9 @@ import (
 	"bufio"
 	"encoding/json"
 	"fmt"
+	"io"
 	"math"
+	"net/http"
 	"net/http/httptest"
 	"os"
 	"strings"
@@ -183,6 +185,60 @@ func TestSubmitLifecycle(t *testing.T) {
 	}
 	if code, _, _ = do(t, s, "GET", "/healthz", ""); code != 200 {
 		t.Fatalf("healthz: %d", code)
+	}
+}
+
+// TestEventsStreamEndsWithJob: a reader that took the terminal event
+// before the feed closed still sees its stream end once the job closes,
+// instead of waiting on a wake-up no further event will send.
+func TestEventsStreamEndsWithJob(t *testing.T) {
+	s := newTestServer(t, quietConfig(t.TempDir()))
+	j := newJob("ev", nil, &Record{ID: "ev", State: StateDone})
+	s.mu.Lock()
+	s.jobs["ev"] = j
+	s.order = append(s.order, "ev")
+	s.mu.Unlock()
+	ts := httptest.NewServer(s)
+	t.Cleanup(ts.Close)
+
+	j.emit(Event{Type: "done"})
+	resp, err := http.Get(ts.URL + "/jobs/ev/events")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	br := bufio.NewReader(resp.Body)
+	if line, err := br.ReadString('\n'); err != nil || !strings.Contains(line, `"done"`) {
+		t.Fatalf("first event %q, %v", line, err)
+	}
+	// The handler has flushed the terminal event of a feed that was not
+	// closed yet, so it now waits for more.
+	j.close()
+	ended := make(chan error, 1)
+	go func() {
+		_, err := br.ReadString('\n')
+		ended <- err
+	}()
+	select {
+	case err := <-ended:
+		if err != io.EOF {
+			t.Fatalf("stream after close: %v, want EOF", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("event stream still open 5 s after its job closed")
+	}
+}
+
+// TestSubmitOversizedTopo: a topo spec past the generator bounds is a
+// bad request, refused before any network is generated.
+func TestSubmitOversizedTopo(t *testing.T) {
+	s := newTestServer(t, quietConfig(t.TempDir()))
+	_, code, out := submitJob(t, s, `{"id": "big", "topo": "clos:100000,100000,1"}`)
+	if code != 400 || !strings.Contains(fmt.Sprint(out["error"]), "bound") {
+		t.Fatalf("oversized topo: %d %v, want 400 naming the bound", code, out)
+	}
+	if s.lookup("big") != nil {
+		t.Fatal("a refused job was admitted")
 	}
 }
 

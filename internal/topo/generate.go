@@ -8,37 +8,20 @@ import (
 	"repro/internal/rng"
 )
 
-// GenConfig parameterises the synthetic topology generators. The zero
-// value gives thesis-scale defaults: 50 kbit/s channels, 1000-bit
-// messages, loads scaled so the busiest channel runs at 50% utilisation.
+// GenConfig parameterises the synthetic topology generators. Every
+// generated network is thesis-scale: genCapacity channels without
+// propagation delay, MessageLength-bit messages for every class, and
+// uniform class rates scaled so the busiest channel runs at genMaxUtil.
 type GenConfig struct {
-	// Capacity is the channel capacity in bits/s. <= 0 means 50 kbit/s.
-	Capacity float64
-	// MeanLength is the mean message length in bits, identical for every
-	// class (classes sharing an FCFS channel must agree). <= 0 means 1000.
-	MeanLength float64
-	// MaxUtil in (0, 1) is the peak channel utilisation the uniform class
-	// arrival rates are scaled to. <= 0 means 0.5.
-	MaxUtil float64
-	// PropDelay is the per-channel one-way propagation delay in seconds.
-	PropDelay float64
 	// Seed drives every random choice through rng substreams, so a fixed
 	// (generator, parameters, seed) triple is bit-reproducible.
 	Seed uint64
 }
 
-func (c GenConfig) withDefaults() GenConfig {
-	if c.Capacity <= 0 {
-		c.Capacity = 50_000
-	}
-	if c.MeanLength <= 0 {
-		c.MeanLength = MessageLength
-	}
-	if c.MaxUtil <= 0 || c.MaxUtil >= 1 {
-		c.MaxUtil = 0.5
-	}
-	return c
-}
+const (
+	genCapacity = 50_000 // bits/s
+	genMaxUtil  = 0.5
+)
 
 // Clos returns a two-level leaf–spine (folded Clos / fat-tree pod)
 // network: every leaf connects to every spine, giving leaves*spines
@@ -53,7 +36,6 @@ func Clos(leaves, spines, classes int, cfg GenConfig) (*netmodel.Network, error)
 	if classes < 1 {
 		return nil, fmt.Errorf("topo: clos needs >= 1 class, got %d", classes)
 	}
-	cfg = cfg.withDefaults()
 	net := &netmodel.Network{Name: fmt.Sprintf("clos-%dx%d", leaves, spines)}
 	for l := 0; l < leaves; l++ {
 		net.Nodes = append(net.Nodes, netmodel.Node{Name: fmt.Sprintf("leaf%d", l)})
@@ -66,7 +48,7 @@ func Clos(leaves, spines, classes int, cfg GenConfig) (*netmodel.Network, error)
 		for s := 0; s < spines; s++ {
 			net.Channels = append(net.Channels, netmodel.Channel{
 				Name: fmt.Sprintf("l%ds%d", l, s), From: l, To: leaves + s,
-				Capacity: cfg.Capacity, PropDelay: cfg.PropDelay,
+				Capacity: genCapacity,
 			})
 		}
 	}
@@ -79,11 +61,11 @@ func Clos(leaves, spines, classes int, cfg GenConfig) (*netmodel.Network, error)
 		}
 		spine := cs.Intn(spines)
 		net.Classes = append(net.Classes, netmodel.Class{
-			Name: fmt.Sprintf("class%d", k), Rate: 1, MeanLength: cfg.MeanLength,
+			Name: fmt.Sprintf("class%d", k), Rate: 1, MeanLength: MessageLength,
 			Route: []int{src*spines + spine, dst*spines + spine},
 		})
 	}
-	scaleRates(net, cfg.MaxUtil)
+	scaleRates(net)
 	return net, nil
 }
 
@@ -100,7 +82,6 @@ func ScaleFree(nodes, m, classes int, cfg GenConfig) (*netmodel.Network, error) 
 	if classes < 1 {
 		return nil, fmt.Errorf("topo: scale-free needs >= 1 class, got %d", classes)
 	}
-	cfg = cfg.withDefaults()
 	net := &netmodel.Network{Name: fmt.Sprintf("scalefree-%d", nodes)}
 	for i := 0; i < nodes; i++ {
 		net.Nodes = append(net.Nodes, netmodel.Node{Name: fmt.Sprintf("n%d", i)})
@@ -112,7 +93,7 @@ func ScaleFree(nodes, m, classes int, cfg GenConfig) (*netmodel.Network, error) 
 	addEdge := func(a, b int) {
 		net.Channels = append(net.Channels, netmodel.Channel{
 			Name: fmt.Sprintf("e%d", len(net.Channels)), From: a, To: b,
-			Capacity: cfg.Capacity, PropDelay: cfg.PropDelay,
+			Capacity: genCapacity,
 		})
 		targets = append(targets, a, b)
 	}
@@ -140,10 +121,10 @@ func ScaleFree(nodes, m, classes int, cfg GenConfig) (*netmodel.Network, error) 
 			addEdge(v, t)
 		}
 	}
-	if err := addBFSClasses(net, classes, rng.New(cfg.Seed).Split(1), cfg); err != nil {
+	if err := addBFSClasses(net, classes, rng.New(cfg.Seed).Split(1)); err != nil {
 		return nil, err
 	}
-	scaleRates(net, cfg.MaxUtil)
+	scaleRates(net)
 	return net, nil
 }
 
@@ -162,7 +143,6 @@ func Mesh(nodes, extra, classes int, cfg GenConfig) (*netmodel.Network, error) {
 	if extra < 0 || extra > maxExtra {
 		return nil, fmt.Errorf("topo: mesh extra channels %d outside [0, %d]", extra, maxExtra)
 	}
-	cfg = cfg.withDefaults()
 	net := &netmodel.Network{Name: fmt.Sprintf("mesh-%d", nodes)}
 	for i := 0; i < nodes; i++ {
 		net.Nodes = append(net.Nodes, netmodel.Node{Name: fmt.Sprintf("n%d", i)})
@@ -175,7 +155,7 @@ func Mesh(nodes, extra, classes int, cfg GenConfig) (*netmodel.Network, error) {
 		have[[2]int{a, b}] = true
 		net.Channels = append(net.Channels, netmodel.Channel{
 			Name: fmt.Sprintf("e%d", len(net.Channels)), From: a, To: b,
-			Capacity: cfg.Capacity, PropDelay: cfg.PropDelay,
+			Capacity: genCapacity,
 		})
 	}
 	for i := 0; i < nodes; i++ {
@@ -197,10 +177,10 @@ func Mesh(nodes, extra, classes int, cfg GenConfig) (*netmodel.Network, error) {
 		addEdge(a, b)
 		added++
 	}
-	if err := addBFSClasses(net, classes, rng.New(cfg.Seed).Split(1), cfg); err != nil {
+	if err := addBFSClasses(net, classes, rng.New(cfg.Seed).Split(1)); err != nil {
 		return nil, err
 	}
-	scaleRates(net, cfg.MaxUtil)
+	scaleRates(net)
 	return net, nil
 }
 
@@ -208,7 +188,7 @@ func Mesh(nodes, extra, classes int, cfg GenConfig) (*netmodel.Network, error) {
 // on the breadth-first shortest path. Adjacency is scanned in channel
 // order, so routes are a deterministic function of the topology and the
 // stream.
-func addBFSClasses(net *netmodel.Network, classes int, s *rng.Stream, cfg GenConfig) error {
+func addBFSClasses(net *netmodel.Network, classes int, s *rng.Stream) error {
 	nodes := len(net.Nodes)
 	adj := make([][][2]int, nodes) // adj[v] = (neighbor, channel)
 	for l, ch := range net.Channels {
@@ -226,7 +206,7 @@ func addBFSClasses(net *netmodel.Network, classes int, s *rng.Stream, cfg GenCon
 			return fmt.Errorf("topo: %s: %w", net.Name, err)
 		}
 		net.Classes = append(net.Classes, netmodel.Class{
-			Name: fmt.Sprintf("class%d", k), Rate: 1, MeanLength: cfg.MeanLength,
+			Name: fmt.Sprintf("class%d", k), Rate: 1, MeanLength: MessageLength,
 			Route: route,
 		})
 	}
@@ -266,9 +246,9 @@ func bfsRoute(adj [][][2]int, src, dst int) ([]int, error) {
 }
 
 // scaleRates sets every class's arrival rate to the uniform value at
-// which the busiest channel's offered utilisation equals maxUtil, keeping
-// generated networks inside the stable region at any scale.
-func scaleRates(net *netmodel.Network, maxUtil float64) {
+// which the busiest channel's offered utilisation equals genMaxUtil,
+// keeping generated networks inside the stable region at any scale.
+func scaleRates(net *netmodel.Network) {
 	peak := 0.0
 	util := make([]float64, len(net.Channels))
 	for _, c := range net.Classes {
@@ -282,7 +262,7 @@ func scaleRates(net *netmodel.Network, maxUtil float64) {
 	if peak <= 0 {
 		return
 	}
-	scale := maxUtil / peak
+	scale := genMaxUtil / peak
 	for r := range net.Classes {
 		net.Classes[r].Rate *= scale
 	}

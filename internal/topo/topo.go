@@ -120,69 +120,3 @@ func Tandem(hops int, capacity, rate, meanLength float64) (*netmodel.Network, er
 	}}
 	return n, nil
 }
-
-// Ring returns a ring of n nodes with n channels and n classes, class i
-// travelling hops channels clockwise starting at node i. All classes
-// share the ring's channels, giving heavy interaction.
-func Ring(n, hops int, capacity, rate, meanLength float64) (*netmodel.Network, error) {
-	if n < 3 {
-		return nil, fmt.Errorf("topo: ring needs at least 3 nodes, got %d", n)
-	}
-	if hops < 1 || hops >= n {
-		return nil, fmt.Errorf("topo: ring hop count %d outside [1, %d]", hops, n-1)
-	}
-	net := &netmodel.Network{Name: fmt.Sprintf("ring-%d", n)}
-	for i := 0; i < n; i++ {
-		net.Nodes = append(net.Nodes, netmodel.Node{Name: fmt.Sprintf("n%d", i)})
-	}
-	for i := 0; i < n; i++ {
-		net.Channels = append(net.Channels, netmodel.Channel{
-			Name: fmt.Sprintf("ch%d", i), From: i, To: (i + 1) % n, Capacity: capacity,
-		})
-	}
-	for i := 0; i < n; i++ {
-		route := make([]int, hops)
-		for h := 0; h < hops; h++ {
-			route[h] = (i + h) % n
-		}
-		net.Classes = append(net.Classes, netmodel.Class{
-			Name: fmt.Sprintf("class%d", i), Rate: rate, MeanLength: meanLength, Route: route,
-		})
-	}
-	return net, nil
-}
-
-// Star returns a hub-and-spoke network: leaves nodes around a hub, with
-// one class per ordered leaf pair given in pairs, each class crossing two
-// channels (leaf→hub, hub→leaf). Spoke channels have the given capacity.
-func Star(leaves int, pairs [][2]int, capacity, rate, meanLength float64) (*netmodel.Network, error) {
-	if leaves < 2 {
-		return nil, fmt.Errorf("topo: star needs at least 2 leaves, got %d", leaves)
-	}
-	net := &netmodel.Network{Name: fmt.Sprintf("star-%d", leaves)}
-	net.Nodes = append(net.Nodes, netmodel.Node{Name: "hub"})
-	for i := 0; i < leaves; i++ {
-		net.Nodes = append(net.Nodes, netmodel.Node{Name: fmt.Sprintf("leaf%d", i)})
-	}
-	// Channel 2i: leaf i -> hub; channel 2i+1: hub -> leaf i.
-	for i := 0; i < leaves; i++ {
-		net.Channels = append(net.Channels,
-			netmodel.Channel{Name: fmt.Sprintf("up%d", i), From: i + 1, To: 0, Capacity: capacity},
-			netmodel.Channel{Name: fmt.Sprintf("down%d", i), From: 0, To: i + 1, Capacity: capacity},
-		)
-	}
-	for k, p := range pairs {
-		a, b := p[0], p[1]
-		if a < 0 || a >= leaves || b < 0 || b >= leaves || a == b {
-			return nil, fmt.Errorf("topo: star pair %d = (%d,%d) invalid for %d leaves", k, a, b, leaves)
-		}
-		net.Classes = append(net.Classes, netmodel.Class{
-			Name: fmt.Sprintf("class%d", k), Rate: rate, MeanLength: meanLength,
-			Route: []int{2 * a, 2*b + 1},
-		})
-	}
-	if len(net.Classes) == 0 {
-		return nil, fmt.Errorf("topo: star needs at least one class pair")
-	}
-	return net, nil
-}

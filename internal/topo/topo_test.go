@@ -113,54 +113,3 @@ func TestTandem(t *testing.T) {
 		t.Error("expected error for 0 hops")
 	}
 }
-
-func TestRing(t *testing.T) {
-	n, err := Ring(5, 2, 50000, 5, 1000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := n.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	if len(n.Channels) != 5 || len(n.Classes) != 5 {
-		t.Errorf("ring shape wrong")
-	}
-	for r := range n.Classes {
-		if n.Hops(r) != 2 {
-			t.Errorf("class %d hops = %d", r, n.Hops(r))
-		}
-	}
-	if _, err := Ring(2, 1, 1, 1, 1); err == nil {
-		t.Error("expected error for tiny ring")
-	}
-	if _, err := Ring(5, 5, 1, 1, 1); err == nil {
-		t.Error("expected error for hops >= n")
-	}
-}
-
-func TestStar(t *testing.T) {
-	n, err := Star(4, [][2]int{{0, 1}, {2, 3}, {1, 2}}, 50000, 8, 1000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := n.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	if len(n.Channels) != 8 || len(n.Classes) != 3 {
-		t.Errorf("star shape wrong: %d channels, %d classes", len(n.Channels), len(n.Classes))
-	}
-	for r := range n.Classes {
-		if n.Hops(r) != 2 {
-			t.Errorf("class %d hops = %d", r, n.Hops(r))
-		}
-	}
-	if _, err := Star(1, [][2]int{{0, 1}}, 1, 1, 1); err == nil {
-		t.Error("expected error for 1 leaf")
-	}
-	if _, err := Star(3, [][2]int{{0, 0}}, 1, 1, 1); err == nil {
-		t.Error("expected error for degenerate pair")
-	}
-	if _, err := Star(3, nil, 1, 1, 1); err == nil {
-		t.Error("expected error for no classes")
-	}
-}
