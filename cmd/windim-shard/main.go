@@ -45,7 +45,6 @@ import (
 	"context"
 	"flag"
 	"fmt"
-	"io"
 	"os"
 	"os/signal"
 	"strings"
@@ -70,117 +69,21 @@ func main() {
 }
 
 func run(args []string) error {
-	fs := flag.NewFlagSet("windim-shard", flag.ContinueOnError)
-	spec := fs.String("spec", "", "JSON network spec file")
-	example := fs.String("example", "", "built-in example: canada2, canada4, tandemN")
-	rates := fs.String("rates", "", "override class arrival rates, e.g. 20,20")
-	evaluator := fs.String("evaluator", "sigma", "candidate evaluator: sigma, schweitzer, linearizer, exact")
-	objective := fs.String("objective", "power", "criterion: power, min-class, sum-class")
-	maxWindow := fs.Int("max-window", 0, "upper bound on every window (0 = default)")
-	workers := fs.Int("workers", 1, "search goroutines inside each worker process")
-	noFallback := fs.Bool("no-fallback", false, "disable the resilient solver chain in the workers")
-	exactEngine := fs.Bool("exact-engine", false, "serve exact evaluations from a slab-bounded convolution lattice per worker")
-	spool := fs.String("spool", "", "spool directory for manifest, leases, slab checkpoints and results (required; reuse to resume)")
-	transportName := fs.String("transport", "local", "worker transport: local, ssh, fake")
-	hosts := fs.String("hosts", "", "comma-separated worker hosts (ssh and fake transports)")
-	sshClient := fs.String("ssh", "ssh", "ssh client binary (ssh transport)")
-	sshOpts := fs.String("ssh-opts", "", "extra ssh client options, space-separated, e.g. '-p 2222' (ssh transport)")
-	procs := fs.Int("procs", 2, "concurrently running worker processes")
-	slabs := fs.Int("slabs", 0, "slab count (0 = 2x procs, clamped to the axis width)")
-	axis := fs.Int("axis", -1, "class axis to partition (-1 = widest)")
-	retries := fs.Int("retries", 2, "relaunches per slab beyond the first attempt before it is lost")
-	allowLost := fs.Int("allow-lost", 0, "tolerate up to this many lost slabs, degrading gracefully with recorded reasons")
-	maxHostsLost := fs.Int("max-hosts-lost", 0, "tolerate up to this many permanently lost hosts, redistributing their slabs")
-	leaseTTL := fs.Duration("lease-ttl", shard.DefaultLeaseTTL, "slab lease renewal deadline (bounds the zombie window and adoption wait)")
-	slabDeadline := fs.Duration("slab-deadline", 2*time.Minute, "per-stride progress deadline before a worker is presumed hung and its slab reassigned")
-	killGrace := fs.Duration("kill-grace", 10*time.Second, "how long a kill waits for the worker's exit before the attempt is superseded")
-	workerCmd := fs.String("worker-cmd", "", "worker command line (default: this binary with -shard-worker)")
-	progress := fs.String("progress", "", "append the NDJSON progress event stream to this file ('-' = stderr)")
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	if *spool == "" {
-		return fmt.Errorf("-spool is required")
-	}
-	rateVec, err := cliutil.ParseRates(*rates)
+	c, err := parseArgs(args)
 	if err != nil {
 		return err
 	}
-	n, err := cliutil.LoadNetwork(*spec, *example, rateVec)
+	defer c.stop()
+	res, err := shard.Run(c.job.Net, c.copts, c.sopts)
 	if err != nil {
 		return err
 	}
-
-	copts := core.Options{
-		Search:          core.ExhaustiveSearch,
-		MaxWindow:       *maxWindow,
-		Workers:         *workers,
-		DisableFallback: *noFallback,
-		ExactEngine:     *exactEngine,
-	}
-	if copts.Evaluator, err = core.ParseEvaluator(*evaluator); err != nil {
-		return err
-	}
-	if copts.Objective, err = core.ParseObjective(*objective); err != nil {
-		return err
-	}
-
-	argv := []string{os.Args[0], "-shard-worker"}
-	if *workerCmd != "" {
-		argv = strings.Fields(*workerCmd)
-	}
-
-	tr, err := buildTransport(*transportName, *hosts, *sshClient, *sshOpts)
-	if err != nil {
-		return err
-	}
-
-	var progW io.Writer
-	switch *progress {
-	case "":
-	case "-":
-		progW = os.Stderr
-	default:
-		f, err := os.OpenFile(*progress, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		progW = f
-	}
-
-	// SIGTERM/Ctrl-C drains: every reachable worker checkpoints its slab
-	// before exit, and re-running over the spool resumes the search.
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-
-	res, err := shard.Run(n, copts, shard.Options{
-		Dir:          *spool,
-		WorkerArgv:   argv,
-		Transport:    tr,
-		Procs:        *procs,
-		Slabs:        *slabs,
-		Axis:         *axis,
-		MaxRetries:   *retries,
-		AllowLost:    *allowLost,
-		MaxHostsLost: *maxHostsLost,
-		LeaseTTL:     *leaseTTL,
-		SlabDeadline: *slabDeadline,
-		KillGrace:    *killGrace,
-		Progress:     progW,
-		Context:      ctx,
-		Logf: func(format string, a ...any) {
-			fmt.Fprintf(os.Stderr, format+"\n", a...)
-		},
-	})
-	if err != nil {
-		return err
-	}
+	n := c.job.Net
 
 	fmt.Printf("network: %s (%d nodes, %d channels, %d classes)\n",
 		n.Name, len(n.Nodes), len(n.Channels), len(n.Classes))
 	fmt.Printf("evaluator: %v, search: sharded exhaustive (%d slabs on axis %d)\n\n",
-		copts.Evaluator, res.Slabs, res.Axis)
+		c.copts.Evaluator, res.Slabs, res.Axis)
 	fmt.Printf("optimal windows : %s\n", report.Windows(res.Windows))
 	fmt.Printf("network power   : %s (throughput %s msg/s, delay %s s)\n",
 		report.Float(res.Metrics.Power, 1),
@@ -197,6 +100,107 @@ func run(args []string) error {
 		fmt.Printf("lost host %s: slabs redistributed\n", h)
 	}
 	return nil
+}
+
+// invocation is one parsed command line: the resolved request and the
+// core and coordinator options with the CLI-only settings applied.
+type invocation struct {
+	job   *cliutil.Job
+	copts core.Options
+	sopts shard.Options
+	stop  func()
+}
+
+// parseArgs points the flags at a kind:"shard" request's fields, resolves
+// it, and applies the settings only the command line has: -no-fallback,
+// the spool, the transport, the worker command, the progress stream and
+// the three durations.
+func parseArgs(args []string) (*invocation, error) {
+	req := cliutil.JobSpec{Kind: "shard", Shard: &cliutil.ShardSpec{Axis: new(int), SlabRetries: new(int)}}
+	sh := req.Shard
+	fs := flag.NewFlagSet("windim-shard", flag.ContinueOnError)
+	spec := fs.String("spec", "", "JSON network spec file")
+	fs.StringVar(&req.Example, "example", "", "built-in example: canada2, canada4, tandemN")
+	rates := fs.String("rates", "", "override class arrival rates, e.g. 20,20")
+	fs.StringVar(&req.Evaluator, "evaluator", "sigma", "candidate evaluator: sigma, schweitzer, linearizer, exact")
+	fs.StringVar(&req.Objective, "objective", "power", "criterion: power, min-class, sum-class")
+	fs.IntVar(&req.MaxWindow, "max-window", 0, "upper bound on every window (0 = default)")
+	fs.IntVar(&req.Workers, "workers", 1, "search goroutines inside each worker process")
+	noFallback := fs.Bool("no-fallback", false, "disable the resilient solver chain in the workers")
+	fs.BoolVar(&req.ExactEngine, "exact-engine", false, "serve exact evaluations from a slab-bounded convolution lattice per worker")
+	spool := fs.String("spool", "", "spool directory for manifest, leases, slab checkpoints and results (required; reuse to resume)")
+	transportName := fs.String("transport", "local", "worker transport: local, ssh, fake")
+	hosts := fs.String("hosts", "", "comma-separated worker hosts (ssh and fake transports)")
+	sshClient := fs.String("ssh", "ssh", "ssh client binary (ssh transport)")
+	sshOpts := fs.String("ssh-opts", "", "extra ssh client options, space-separated, e.g. '-p 2222' (ssh transport)")
+	fs.IntVar(&sh.Procs, "procs", 2, "concurrently running worker processes")
+	fs.IntVar(&sh.Slabs, "slabs", 0, "slab count (0 = 2x procs, clamped to the axis width)")
+	fs.IntVar(sh.Axis, "axis", -1, "class axis to partition (-1 = widest)")
+	fs.IntVar(sh.SlabRetries, "retries", 2, "relaunches per slab beyond the first attempt before it is lost")
+	fs.IntVar(&sh.AllowLost, "allow-lost", 0, "tolerate up to this many lost slabs, degrading gracefully with recorded reasons")
+	fs.IntVar(&sh.MaxHostsLost, "max-hosts-lost", 0, "tolerate up to this many permanently lost hosts, redistributing their slabs")
+	leaseTTL := fs.Duration("lease-ttl", shard.DefaultLeaseTTL, "slab lease renewal deadline (bounds the zombie window and adoption wait)")
+	slabDeadline := fs.Duration("slab-deadline", 2*time.Minute, "per-stride progress deadline before a worker is presumed hung and its slab reassigned")
+	killGrace := fs.Duration("kill-grace", 10*time.Second, "how long a kill waits for the worker's exit before the attempt is superseded")
+	workerCmd := fs.String("worker-cmd", "", "worker command line (default: this binary with -shard-worker)")
+	progress := fs.String("progress", "", "append the NDJSON progress event stream to this file ('-' = stderr)")
+	if err := fs.Parse(args); err != nil {
+		return nil, err
+	}
+	if *spool == "" {
+		return nil, fmt.Errorf("-spool is required")
+	}
+	var err error
+	if req.Rates, err = cliutil.ParseRates(*rates); err != nil {
+		return nil, err
+	}
+	if err := req.ReadSpec(*spec); err != nil {
+		return nil, err
+	}
+	n, err := req.ResolveNetwork()
+	if err != nil {
+		return nil, err
+	}
+	job, err := req.Resolve(n)
+	if err != nil {
+		return nil, err
+	}
+	c := &invocation{job: job, copts: job.Options(), sopts: job.ShardOptions()}
+	c.copts.DisableFallback = *noFallback
+
+	c.sopts.WorkerArgv = []string{os.Args[0], "-shard-worker"}
+	if *workerCmd != "" {
+		c.sopts.WorkerArgv = strings.Fields(*workerCmd)
+	}
+	if c.sopts.Transport, err = buildTransport(*transportName, *hosts, *sshClient, *sshOpts); err != nil {
+		return nil, err
+	}
+	closeProgress := func() {}
+	switch *progress {
+	case "":
+	case "-":
+		c.sopts.Progress = os.Stderr
+	default:
+		f, err := os.OpenFile(*progress, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
+		if err != nil {
+			return nil, err
+		}
+		c.sopts.Progress = f
+		closeProgress = func() { f.Close() }
+	}
+	// SIGTERM/Ctrl-C drains: every reachable worker checkpoints its slab
+	// before exit, and re-running over the spool resumes the search.
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	c.stop = func() { stop(); closeProgress() }
+	c.sopts.Dir = *spool
+	c.sopts.LeaseTTL = *leaseTTL
+	c.sopts.SlabDeadline = *slabDeadline
+	c.sopts.KillGrace = *killGrace
+	c.sopts.Context = ctx
+	c.sopts.Logf = func(format string, a ...any) {
+		fmt.Fprintf(os.Stderr, format+"\n", a...)
+	}
+	return c, nil
 }
 
 // buildTransport resolves the -transport/-hosts flags. nil means the

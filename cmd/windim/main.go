@@ -79,158 +79,163 @@ func main() {
 }
 
 func run(args []string) error {
+	c, err := parseArgs(args)
+	if err != nil {
+		return err
+	}
+	defer c.stop()
+	switch {
+	case c.sweep != nil:
+		return runSweep(c.job.Net, c.opts, c.sweep)
+	case c.job.Robust():
+		_, _, err = runRobust(c.job, c.opts)
+	default:
+		_, err = runNominal(c.job.Net, c.opts, c.trace)
+	}
+	return err
+}
+
+// invocation is one parsed command line: the resolved request, the core
+// options with the CLI-only settings applied, and what to print.
+type invocation struct {
+	job   *cliutil.Job
+	opts  core.Options
+	sweep []float64
+	trace bool
+	stop  func()
+}
+
+// parseArgs points the flags at a request's fields, resolves the request
+// (reducing its network between the two steps when -reduce asks, so
+// scenarios validate against the reduced network) and applies the
+// settings only the command line has: -search, -no-fallback, sampled
+// scenarios, checkpoint paths and the two durations.
+func parseArgs(args []string) (*invocation, error) {
+	var req cliutil.JobSpec
 	fs := flag.NewFlagSet("windim", flag.ContinueOnError)
 	spec := fs.String("spec", "", "JSON network spec file")
-	example := fs.String("example", "", "built-in example: canada2, canada4, tandemN")
-	topoSpec := fs.String("topo", "", "generate a synthetic topology: clos:L,S,C | scalefree:N,M,C | mesh:N,E,C")
-	topoSeed := fs.Uint64("topo-seed", 1, "seed for -topo (same spec and seed, same network)")
+	fs.StringVar(&req.Example, "example", "", "built-in example: canada2, canada4, tandemN")
+	fs.StringVar(&req.Topo, "topo", "", "generate a synthetic topology: clos:L,S,C | scalefree:N,M,C | mesh:N,E,C")
+	fs.Uint64Var(&req.TopoSeed, "topo-seed", 0, "seed for -topo (same spec and seed, same network)")
 	reduce := fs.Bool("reduce", false, "apply exact model reduction (prune unused channels/nodes, merge same-route propagation delays) before dimensioning")
 	rates := fs.String("rates", "", "override class arrival rates, e.g. 20,20")
-	evaluator := fs.String("evaluator", "sigma", "candidate evaluator: sigma, schweitzer, linearizer, exact")
+	fs.StringVar(&req.Evaluator, "evaluator", "sigma", "candidate evaluator: sigma, schweitzer, linearizer, exact")
 	search := fs.String("search", "pattern", "optimiser: pattern, exhaustive")
-	objective := fs.String("objective", "power", "criterion: power, min-class, sum-class")
-	maxWindow := fs.Int("max-window", 0, "upper bound on every window (0 = default)")
-	workers := fs.Int("workers", 1, "parallel candidate evaluations: splits the exhaustive box, and speculatively evaluates pattern-search probes (same result as serial)")
+	fs.StringVar(&req.Objective, "objective", "power", "criterion: power, min-class, sum-class")
+	fs.IntVar(&req.MaxWindow, "max-window", 0, "upper bound on every window (0 = default)")
+	fs.IntVar(&req.Workers, "workers", 1, "parallel candidate evaluations: splits the exhaustive box, and speculatively evaluates pattern-search probes (same result as serial)")
 	start := fs.String("start", "", "initial windows for the pattern search (default: hop counts)")
 	trace := fs.Bool("trace", false, "print the pattern-search base-point trace")
 	sweep := fs.String("sweep", "", "comma-separated load scale factors; dimensions the network at each (e.g. 0.5,1,2)")
 	timeout := fs.Duration("timeout", 0, "wall-clock budget for the search, e.g. 10s (0 = none); on expiry the best-so-far windows are reported")
 	noFallback := fs.Bool("no-fallback", false, "disable the resilient solver chain (non-converged candidates fail immediately)")
 	scenarioFile := fs.String("scenarios", "", "JSON scenario set; dimensions robustly against it instead of the nominal point only")
-	robust := fs.String("robust", "minmax", "robust criterion with -scenarios: minmax (worst-scenario power) or weighted (probability-weighted mean power)")
+	fs.StringVar(&req.Robust, "robust", "minmax", "robust criterion with -scenarios: minmax (worst-scenario power) or weighted (probability-weighted mean power)")
 	sampleScenarios := fs.Int("sample-scenarios", 0, "generate N random capacity/rate scenarios and dimension robustly against them (dominated scenarios pruned)")
 	scenarioSeed := fs.Uint64("scenario-seed", 1, "seed for -sample-scenarios (same seed, same set)")
-	degradeAfter := fs.Int("degrade-after", 0, "exclude a scenario after this many non-converged candidates instead of vetoing them (0 = off)")
-	minScenarios := fs.Int("min-scenarios", 0, "abort if scenario degradation would leave fewer active scenarios than this (0 = 1)")
+	fs.IntVar(&req.DegradeAfter, "degrade-after", 0, "exclude a scenario after this many non-converged candidates instead of vetoing them (0 = off)")
+	fs.IntVar(&req.MinScenarios, "min-scenarios", 0, "abort if scenario degradation would leave fewer active scenarios than this (0 = 1)")
 	checkpoint := fs.String("checkpoint", "", "write durable search checkpoints to this file (pattern search only)")
-	checkpointEvery := fs.Int("checkpoint-every", 0, "commit cadence of checkpoint writes (0 = every commit)")
+	fs.IntVar(&req.CheckpointEvery, "checkpoint-every", 0, "commit cadence of checkpoint writes (0 = every commit)")
 	resume := fs.String("resume", "", "resume the search from a checkpoint file written by a previous run with the same model and options")
-	exactEngine := fs.Bool("exact-engine", false, "serve exact evaluations from one shared incremental convolution lattice per search instead of a fresh recursion per candidate (exact-evaluator runs and the exact fallback tier)")
+	fs.BoolVar(&req.ExactEngine, "exact-engine", false, "serve exact evaluations from one shared incremental convolution lattice per search instead of a fresh recursion per candidate (exact-evaluator runs and the exact fallback tier)")
 	evalTimeout := fs.Duration("eval-timeout", 0, "per-candidate watchdog: a solve exceeding max(this, 8x the rolling mean solve time) is rerouted into the fallback chain (0 = off)")
 	if err := fs.Parse(args); err != nil {
-		return err
+		return nil, err
 	}
-	rateVec, err := cliutil.ParseRates(*rates)
+	var err error
+	if req.Rates, err = cliutil.ParseRates(*rates); err != nil {
+		return nil, err
+	}
+	iw, err := cliutil.ParseWindows(*start)
 	if err != nil {
-		return err
+		return nil, err
 	}
-	var n *netmodel.Network
-	if *topoSpec != "" {
-		if *spec != "" || *example != "" {
-			return fmt.Errorf("-topo is mutually exclusive with -spec and -example")
-		}
-		if rateVec != nil {
-			return fmt.Errorf("-rates does not apply to -topo (generated rates are utilisation-scaled); use -sweep to rescale loads")
-		}
-		n, err = cliutil.ParseTopo(*topoSpec, *topoSeed)
-	} else {
-		n, err = cliutil.LoadNetwork(*spec, *example, rateVec)
+	req.Start = iw
+	if err := req.ReadSpec(*spec); err != nil {
+		return nil, err
 	}
+	if *scenarioFile != "" {
+		if *sampleScenarios > 0 {
+			return nil, fmt.Errorf("-scenarios and -sample-scenarios are mutually exclusive")
+		}
+		if req.Scenarios, err = os.ReadFile(*scenarioFile); err != nil {
+			return nil, err
+		}
+	}
+	n, err := req.ResolveNetwork()
 	if err != nil {
-		return err
+		return nil, err
 	}
 	if *reduce {
-		reduced, red, rerr := netmodel.Reduce(n)
-		if rerr != nil {
-			return rerr
+		reduced, red, err := netmodel.Reduce(n)
+		if err != nil {
+			return nil, err
 		}
 		if red.Total() > 0 {
 			fmt.Printf("model reduction: %v\n", red)
 		}
 		n = reduced
 	}
-	opts := core.Options{
-		MaxWindow:       *maxWindow,
-		Workers:         *workers,
-		DisableFallback: *noFallback,
-		EvalTimeout:     *evalTimeout,
-		CheckpointPath:  *checkpoint,
-		CheckpointEvery: *checkpointEvery,
-		ResumePath:      *resume,
-		ExactEngine:     *exactEngine,
-		DegradeAfter:    *degradeAfter,
-		MinScenarios:    *minScenarios,
+	job, err := req.Resolve(n)
+	if err != nil {
+		return nil, err
+	}
+	opts := job.Options()
+	if opts.Search, err = core.ParseSearch(*search); err != nil {
+		return nil, err
+	}
+	opts.DisableFallback = *noFallback
+	opts.EvalTimeout = *evalTimeout
+	opts.CheckpointPath = *checkpoint
+	opts.ResumePath = *resume
+	c := &invocation{job: job, trace: *trace}
+	if *sweep != "" {
+		if c.sweep, err = cliutil.ParseRates(*sweep); err != nil {
+			return nil, err
+		}
+	}
+	if *sampleScenarios > 0 && c.sweep == nil {
+		sampled, err := core.SampleScenarios(n, core.SampleOptions{
+			Count: *sampleScenarios,
+			Seed:  *scenarioSeed,
+			// The weighted criterion averages over ALL scenarios, so
+			// dominance pruning (a minimax-only argument) must stay off.
+			KeepDominated: job.Kind == core.RobustWeighted,
+		})
+		if err != nil {
+			return nil, err
+		}
+		if pruned := *sampleScenarios - len(sampled); pruned > 0 {
+			fmt.Printf("sampled %d scenarios (seed %d), pruned %d dominated\n",
+				*sampleScenarios, *scenarioSeed, pruned)
+		} else {
+			fmt.Printf("sampled %d scenarios (seed %d)\n", *sampleScenarios, *scenarioSeed)
+		}
+		job.Scenarios = sampled
 	}
 	// Ctrl-C (and a service manager's SIGTERM) cancels the search instead
 	// of killing the process: the best-so-far windows are reported and any
 	// -checkpoint file stays resumable. A second signal kills immediately.
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
+	c.stop = stop
 	if *timeout > 0 {
 		var cancel context.CancelFunc
 		ctx, cancel = context.WithTimeout(ctx, *timeout)
-		defer cancel()
+		c.stop = func() { cancel(); stop() }
 	}
 	opts.Context = ctx
-	if opts.Evaluator, err = core.ParseEvaluator(*evaluator); err != nil {
-		return err
-	}
-	if opts.Search, err = core.ParseSearch(*search); err != nil {
-		return err
-	}
-	if opts.Objective, err = core.ParseObjective(*objective); err != nil {
-		return err
-	}
-	if *start != "" {
-		iw, err := cliutil.ParseWindows(*start)
-		if err != nil {
-			return err
-		}
-		opts.InitialWindows = iw
-	}
+	c.opts = opts
+	return c, nil
+}
 
-	if *sweep != "" {
-		scales, err := cliutil.ParseRates(*sweep)
-		if err != nil {
-			return err
-		}
-		return runSweep(n, opts, scales)
-	}
-
-	if *scenarioFile != "" || *sampleScenarios > 0 {
-		kind, err := core.ParseRobustKind(*robust)
-		if err != nil {
-			return err
-		}
-		var scenarios []core.Scenario
-		switch {
-		case *scenarioFile != "" && *sampleScenarios > 0:
-			return fmt.Errorf("-scenarios and -sample-scenarios are mutually exclusive")
-		case *scenarioFile != "":
-			data, err := os.ReadFile(*scenarioFile)
-			if err != nil {
-				return err
-			}
-			scenarios, err = core.ParseScenarios(data, n)
-			if err != nil {
-				return err
-			}
-		default:
-			sampled, err := core.SampleScenarios(n, core.SampleOptions{
-				Count: *sampleScenarios,
-				Seed:  *scenarioSeed,
-				// The weighted criterion averages over ALL scenarios, so
-				// dominance pruning (a minimax-only argument) must stay off.
-				KeepDominated: kind == core.RobustWeighted,
-			})
-			if err != nil {
-				return err
-			}
-			if pruned := *sampleScenarios - len(sampled); pruned > 0 {
-				fmt.Printf("sampled %d scenarios (seed %d), pruned %d dominated\n",
-					*sampleScenarios, *scenarioSeed, pruned)
-			} else {
-				fmt.Printf("sampled %d scenarios (seed %d)\n", *sampleScenarios, *scenarioSeed)
-			}
-			scenarios = sampled
-		}
-		return runRobust(n, opts, scenarios, kind)
-	}
-
+// runNominal dimensions the network and prints the optimum next to the
+// hop-count baseline.
+func runNominal(n *netmodel.Network, opts core.Options, trace bool) (*core.Result, error) {
 	res, err := core.Dimension(n, opts)
 	if err != nil {
 		if res == nil {
-			return err
+			return nil, err
 		}
 		// Deadline expired mid-search: the partial result still carries
 		// the best window vector found before cancellation.
@@ -239,7 +244,7 @@ func run(args []string) error {
 	kw := core.KleinrockWindows(n)
 	base, err := core.Evaluate(n, kw, opts)
 	if err != nil {
-		return err
+		return nil, err
 	}
 
 	fmt.Printf("network: %s (%d nodes, %d channels, %d classes)\n",
@@ -264,7 +269,7 @@ func run(args []string) error {
 			report.Float(res.Metrics.ClassDelay[r], 4))
 	}
 	if _, err := t.WriteTo(os.Stdout); err != nil {
-		return err
+		return nil, err
 	}
 	fmt.Printf("\nsearch: %d objective evaluations, %d cache hits, %d non-converged candidates\n",
 		res.Search.Evaluations, res.Search.CacheHits, res.NonConverged)
@@ -274,20 +279,21 @@ func run(args []string) error {
 	if res.WatchdogTrips > 0 {
 		fmt.Printf("watchdog: %d solve(s) cut short into the fallback chain\n", res.WatchdogTrips)
 	}
-	if *trace {
+	if trace {
 		fmt.Println("base points:")
 		for _, p := range res.Search.BasePoints {
 			fmt.Printf("  %s\n", report.Windows(p))
 		}
 	}
-	return nil
+	return res, nil
 }
 
 // runRobust dimensions the nominal optimum first, then re-optimises the
 // robust criterion over the scenario set seeded from the nominal vector
 // (which guarantees the minimax result protects the worst scenario at
 // least as well), and prints both vectors' per-scenario exposure.
-func runRobust(n *netmodel.Network, opts core.Options, scenarios []core.Scenario, kind core.RobustKind) error {
+func runRobust(job *cliutil.Job, opts core.Options) (*core.Result, *core.RobustResult, error) {
+	n, scenarios, kind := job.Net, job.Scenarios, job.Kind
 	// Checkpoint/resume applies to the long robust search, not the nominal
 	// seeding run (whose checkpoint would also collide on the same path).
 	nopts := opts
@@ -296,7 +302,7 @@ func runRobust(n *netmodel.Network, opts core.Options, scenarios []core.Scenario
 	nominal, err := core.Dimension(n, nopts)
 	if err != nil {
 		if nominal == nil {
-			return err
+			return nil, nil, err
 		}
 		fmt.Fprintf(os.Stderr, "windim: nominal search: %v (continuing with best-so-far)\n", err)
 	}
@@ -305,13 +311,13 @@ func runRobust(n *netmodel.Network, opts core.Options, scenarios []core.Scenario
 	res, err := core.DimensionRobust(n, scenarios, kind, ropts)
 	if err != nil {
 		if res == nil {
-			return err
+			return nil, nil, err
 		}
 		fmt.Fprintf(os.Stderr, "windim: %v (reporting best-so-far)\n", err)
 	}
 	nominalPowers, err := core.EvaluateScenarios(n, scenarios, nominal.Windows, opts)
 	if err != nil {
-		return err
+		return nil, nil, err
 	}
 
 	fmt.Printf("network: %s (%d nodes, %d channels, %d classes)\n",
@@ -337,7 +343,7 @@ func runRobust(n *netmodel.Network, opts core.Options, scenarios []core.Scenario
 			report.Float(nominalPowers[i], 1), report.Float(res.ScenarioPower[i], 1))
 	}
 	if _, err := t.WriteTo(os.Stdout); err != nil {
-		return err
+		return nil, nil, err
 	}
 	if res.WorstScenario >= 0 {
 		fmt.Printf("\nworst scenario  : %s\n", scenarios[res.WorstScenario].Name)
@@ -356,7 +362,7 @@ func runRobust(n *netmodel.Network, opts core.Options, scenarios []core.Scenario
 	for _, d := range res.Degraded {
 		fmt.Printf("degraded scenario %q: %s\n", d.Name, d.Reason)
 	}
-	return nil
+	return nominal, res, nil
 }
 
 // runSweep dimensions the network at each load scale: every class rate

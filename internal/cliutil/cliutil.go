@@ -1,11 +1,12 @@
-// Package cliutil holds the small helpers shared by the command-line
-// tools: network loading (from a JSON spec file or a named built-in
-// example) and flag parsing for window vectors.
+// Package cliutil holds what the command-line tools and windimd share:
+// the dimensioning request (JobSpec) with its one validator and its one
+// mapping to core and shard options, network loading (from a JSON spec
+// file, a named built-in example or a topology generator) and flag
+// parsing for window and rate vectors.
 package cliutil
 
 import (
 	"fmt"
-	"os"
 	"strconv"
 	"strings"
 
@@ -15,51 +16,16 @@ import (
 )
 
 // LoadNetwork returns the network named by either specPath (a JSON file)
-// or example (a built-in name: "canada2", "canada4", "tandem<N>"). rates
-// optionally overrides the classes' arrival rates.
+// or example (a built-in name: "canada2", "canada4", "tandem<N>"), with
+// rates optionally overriding the classes' arrival rates. It is a
+// request's network step (JobSpec.ResolveNetwork) for the tools that
+// take only a network: qsolve, netsim and flowdim.
 func LoadNetwork(specPath, example string, rates []float64) (*netmodel.Network, error) {
-	var n *netmodel.Network
-	switch {
-	case specPath != "" && example != "":
-		return nil, fmt.Errorf("cliutil: -spec and -example are mutually exclusive")
-	case specPath != "":
-		data, err := os.ReadFile(specPath)
-		if err != nil {
-			return nil, fmt.Errorf("cliutil: reading spec: %w", err)
-		}
-		n, err = netmodel.ParseSpec(data)
-		if err != nil {
-			return nil, err
-		}
-	case example != "":
-		var err error
-		n, err = builtin(example)
-		if err != nil {
-			return nil, err
-		}
-	default:
-		return nil, fmt.Errorf("cliutil: provide -spec FILE or -example NAME (canada2, canada4, tandem4, ...)")
+	req := JobSpec{Example: example, Rates: rates}
+	if err := req.ReadSpec(specPath); err != nil {
+		return nil, err
 	}
-	if rates != nil {
-		if len(rates) != len(n.Classes) {
-			return nil, fmt.Errorf("cliutil: %d rates for %d classes", len(rates), len(n.Classes))
-		}
-		for r := range n.Classes {
-			n.Classes[r].Rate = rates[r]
-		}
-		if err := n.Validate(); err != nil {
-			return nil, err
-		}
-	}
-	return n, nil
-}
-
-// BuiltinExample returns the named built-in example network — the same
-// names LoadNetwork resolves for -example, exposed for callers (the
-// windimd job parser) whose network reference arrives embedded in a
-// request instead of on a command line.
-func BuiltinExample(name string) (*netmodel.Network, error) {
-	return builtin(name)
+	return req.ResolveNetwork()
 }
 
 func builtin(name string) (*netmodel.Network, error) {

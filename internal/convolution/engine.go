@@ -156,13 +156,6 @@ func (e *Engine) Hmax() numeric.IntVector {
 	return e.lat.s.h.Clone()
 }
 
-// Size returns the number of lattice points in the current box.
-func (e *Engine) Size() int {
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	return e.lat.s.size
-}
-
 // MemoryBytes reports the engine's retained lattice memory: every
 // materialised float array (prefix/suffix chains, capacity coefficients,
 // doubled and leave-one-out convolutions) plus the plane index and the

@@ -444,3 +444,10 @@ func TestEngineMaxBox(t *testing.T) {
 		t.Fatal("NewEngine accepted a MaxBox of the wrong dimension")
 	}
 }
+
+// Size returns the number of lattice points in the current box.
+func (e *Engine) Size() int {
+	e.mu.RLock()
+	defer e.mu.RUnlock()
+	return e.lat.s.size
+}

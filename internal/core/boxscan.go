@@ -146,7 +146,7 @@ func (b *BoxScanner) search(n *netmodel.Network, ckpt *pattern.CheckpointOptions
 	nCls := len(n.Classes)
 	maxW := opts.MaxWindow
 	if maxW <= 0 {
-		maxW = 64
+		maxW = DefaultMaxWindow
 	}
 	lo := numeric.NewIntVector(nCls)
 	hi := numeric.NewIntVector(nCls)

@@ -326,7 +326,7 @@ func (c *OracleCache) oracleFor(ref *qnet.Network, workers int) *convOracle {
 // (at most 2·stations), all float64.
 func EstimateOracleBytes(n *netmodel.Network, maxWindow int) (int64, error) {
 	if maxWindow <= 0 {
-		maxWindow = 64
+		maxWindow = DefaultMaxWindow
 	}
 	ones := numeric.NewIntVector(len(n.Classes))
 	for i := range ones {

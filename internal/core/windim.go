@@ -186,6 +186,11 @@ func (s SearchKind) String() string {
 	return fmt.Sprintf("SearchKind(%d)", int(s))
 }
 
+// DefaultMaxWindow is the window bound of a search whose
+// Options.MaxWindow is not positive: far above any power-optimal setting
+// for the networks considered (optima shrink, not grow, with load).
+const DefaultMaxWindow = 64
+
 // Options configures WINDIM. The zero value reproduces the thesis:
 // σ-heuristic MVA evaluations, pattern search from the hop-count windows
 // with unit steps and KMAX = 2, windows bounded to [1, MaxWindow].
@@ -197,9 +202,8 @@ type Options struct {
 	Objective ObjectiveKind
 	// InitialWindows overrides the hop-count starting vector.
 	InitialWindows numeric.IntVector
-	// MaxWindow bounds every window from above; <= 0 means 64 (far above
-	// any power-optimal setting for the networks considered — optima
-	// shrink, not grow, with load).
+	// MaxWindow bounds every window from above; <= 0 means
+	// DefaultMaxWindow.
 	MaxWindow int
 	// Workers parallelises candidate evaluation across goroutines: the
 	// exhaustive search splits its box across Workers, and the pattern

@@ -108,15 +108,6 @@ type SingleChainCurve struct {
 	QueueTime []numeric.Vector
 }
 
-// At returns mean queue lengths for population d (0 <= d <= max). For
-// d == 0 it returns a zero vector.
-func (c *SingleChainCurve) At(d int) numeric.Vector {
-	if d <= 0 {
-		return numeric.NewVector(len(c.QueueLen[0]))
-	}
-	return c.QueueLen[d-1]
-}
-
 // ExactSingleChain runs the exact single-chain MVA recursion up to
 // population maxPop over the given visit ratios and service times
 // (stations not visited have visit ratio 0). isStation[i] marks IS

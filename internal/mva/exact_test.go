@@ -1,6 +1,7 @@
 package mva
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -308,4 +309,29 @@ func TestSingleChainLDErrors(t *testing.T) {
 	if _, err := SingleChainLD(numeric.Vector{1}, numeric.Vector{1}, []qnet.Station{{}}, 0); err == nil {
 		t.Error("expected population error")
 	}
+}
+
+// At returns mean queue lengths for population d (0 <= d <= max). For
+// d == 0 it returns a zero vector.
+func (c *SingleChainCurve) At(d int) numeric.Vector {
+	if d <= 0 {
+		return numeric.NewVector(len(c.QueueLen[0]))
+	}
+	return c.QueueLen[d-1]
+}
+
+// littleCheck is a debug invariant: per-chain populations must match the
+// queue-length totals to within tol. Returns an error naming the first
+// violated chain.
+func littleCheck(net *qnet.Network, s *Solution, tol float64) error {
+	for r := 0; r < net.R(); r++ {
+		sum := 0.0
+		for i := 0; i < net.N(); i++ {
+			sum += s.QueueLen.At(i, r)
+		}
+		if want := float64(net.Chains[r].Population); math.Abs(sum-want) > tol {
+			return fmt.Errorf("mva: chain %d population leak: queue lengths sum to %v, want %v", r, sum, want)
+		}
+	}
+	return nil
 }

@@ -8,7 +8,6 @@ package mva
 
 import (
 	"fmt"
-	"math"
 
 	"repro/internal/numeric"
 	"repro/internal/qnet"
@@ -99,20 +98,4 @@ func Prevalidate(net *qnet.Network) (*qnet.Network, error) {
 		return nil, err
 	}
 	return net.EffectiveClosed(), nil
-}
-
-// littleCheck is a debug invariant: per-chain populations must match the
-// queue-length totals to within tol. Returns an error naming the first
-// violated chain.
-func littleCheck(net *qnet.Network, s *Solution, tol float64) error {
-	for r := 0; r < net.R(); r++ {
-		sum := 0.0
-		for i := 0; i < net.N(); i++ {
-			sum += s.QueueLen.At(i, r)
-		}
-		if want := float64(net.Chains[r].Population); math.Abs(sum-want) > tol {
-			return fmt.Errorf("mva: chain %d population leak: queue lengths sum to %v, want %v", r, sum, want)
-		}
-	}
-	return nil
 }

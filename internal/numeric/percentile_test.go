@@ -89,3 +89,35 @@ func TestSortFloat64sLarge(t *testing.T) {
 		}
 	}
 }
+
+// sortFloat64s is an in-place quicksort with insertion-sort cutoff
+// (avoiding the sort package's interface overhead in the simulator's
+// result path is immaterial; this simply keeps the package stdlib-free of
+// sort.Slice allocations).
+func sortFloat64s(xs []float64) {
+	if len(xs) < 16 {
+		for i := 1; i < len(xs); i++ {
+			for j := i; j > 0 && xs[j] < xs[j-1]; j-- {
+				xs[j], xs[j-1] = xs[j-1], xs[j]
+			}
+		}
+		return
+	}
+	pivot := xs[len(xs)/2]
+	left, right := 0, len(xs)-1
+	for left <= right {
+		for xs[left] < pivot {
+			left++
+		}
+		for xs[right] > pivot {
+			right--
+		}
+		if left <= right {
+			xs[left], xs[right] = xs[right], xs[left]
+			left++
+			right--
+		}
+	}
+	sortFloat64s(xs[:right+1])
+	sortFloat64s(xs[left:])
+}

@@ -21,9 +21,6 @@ func (w *Welford) Add(x float64) {
 	w.m2 += d * (x - w.mean)
 }
 
-// N returns the number of observations.
-func (w *Welford) N() int64 { return w.n }
-
 // Mean returns the sample mean (0 when empty).
 func (w *Welford) Mean() float64 { return w.mean }
 
@@ -263,38 +260,6 @@ func quickselect(xs []float64, k int) float64 {
 		}
 	}
 	return xs[k]
-}
-
-// sortFloat64s is an in-place quicksort with insertion-sort cutoff
-// (avoiding the sort package's interface overhead in the simulator's
-// result path is immaterial; this simply keeps the package stdlib-free of
-// sort.Slice allocations).
-func sortFloat64s(xs []float64) {
-	if len(xs) < 16 {
-		for i := 1; i < len(xs); i++ {
-			for j := i; j > 0 && xs[j] < xs[j-1]; j-- {
-				xs[j], xs[j-1] = xs[j-1], xs[j]
-			}
-		}
-		return
-	}
-	pivot := xs[len(xs)/2]
-	left, right := 0, len(xs)-1
-	for left <= right {
-		for xs[left] < pivot {
-			left++
-		}
-		for xs[right] > pivot {
-			right--
-		}
-		if left <= right {
-			xs[left], xs[right] = xs[right], xs[left]
-			left++
-			right--
-		}
-	}
-	sortFloat64s(xs[:right+1])
-	sortFloat64s(xs[left:])
 }
 
 // BatchMeans groups the series xs into nbatches equal-size batches

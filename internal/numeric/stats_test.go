@@ -148,3 +148,6 @@ func TestBatchMeans(t *testing.T) {
 		t.Error("expected error for too few observations")
 	}
 }
+
+// N returns the number of observations.
+func (w *Welford) N() int64 { return w.n }

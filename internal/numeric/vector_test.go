@@ -1,6 +1,7 @@
 package numeric
 
 import (
+	"fmt"
 	"math"
 	"testing"
 )
@@ -71,4 +72,28 @@ func TestMatrixBasics(t *testing.T) {
 	if m.At(0, 0) != 0 {
 		t.Fatal("Clone aliases storage")
 	}
+}
+
+// Add adds w to v in place and returns v.
+// It panics if the lengths differ.
+func (v Vector) Add(w Vector) Vector {
+	if len(v) != len(w) {
+		panic(fmt.Sprintf("numeric: Add length mismatch %d vs %d", len(v), len(w)))
+	}
+	for i := range v {
+		v[i] += w[i]
+	}
+	return v
+}
+
+// Max returns the maximum element and its index. For an empty vector it
+// returns (-Inf, -1).
+func (v Vector) Max() (float64, int) {
+	best, at := math.Inf(-1), -1
+	for i, x := range v {
+		if x > best {
+			best, at = x, i
+		}
+	}
+	return best, at
 }

@@ -99,16 +99,6 @@ func FromSolutionInto(m *Metrics, sp *qnet.Sparse, sol *mva.Solution, excluded [
 	return nil
 }
 
-// Objective returns the WINDIM objective F = 1/P = Delay/Throughput, with
-// +Inf for degenerate operating points (zero throughput), so that the
-// pattern search treats them as maximally undesirable.
-func (m *Metrics) Objective() float64 {
-	if m.Power <= 0 || math.IsNaN(m.Power) {
-		return math.Inf(1)
-	}
-	return 1 / m.Power
-}
-
 // ClassPower returns chain r's own power P_r = lambda_r / T_r, or 0 when
 // the chain carries no traffic.
 func (m *Metrics) ClassPower(r int) float64 {

@@ -199,3 +199,13 @@ func TestKleinrockPowerForWindowEdge(t *testing.T) {
 		t.Errorf("PowerForWindow(0) = %v", got)
 	}
 }
+
+// Objective returns the WINDIM objective F = 1/P = Delay/Throughput, with
+// +Inf for degenerate operating points (zero throughput), so that the
+// pattern search treats them as maximally undesirable.
+func (m *Metrics) Objective() float64 {
+	if m.Power <= 0 || math.IsNaN(m.Power) {
+		return math.Inf(1)
+	}
+	return 1 / m.Power
+}

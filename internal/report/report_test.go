@@ -82,3 +82,6 @@ func TestChartRejectsEmpty(t *testing.T) {
 		t.Fatal("expected error for unplottable chart")
 	}
 }
+
+// Rows returns the number of data rows.
+func (t *Table) Rows() int { return len(t.rows) }

@@ -153,23 +153,6 @@ func init() {
 	}
 }
 
-// Exp returns an exponential variate with the given rate (mean 1/rate).
-// It panics if rate <= 0: a non-positive rate is always a caller bug in
-// this codebase (a zero-capacity channel must be rejected at model
-// validation, long before sampling).
-//
-// Sampling uses the 256-layer exponential ziggurat: ~98% of draws cost
-// one 32-bit generator step and one multiply, no logarithm. The method is
-// exact (rejection, not approximation) — the returned variates are
-// exponential to full floating-point fidelity, and the simulator's event
-// loop spends its time on simulation instead of math.Log.
-func (s *Stream) Exp(rate float64) float64 {
-	if rate <= 0 {
-		panic("rng: Exp requires rate > 0")
-	}
-	return s.expUnit() / rate
-}
-
 // ExpMean returns an exponential variate with the given mean (> 0). It
 // draws the same distribution as Exp(1/mean) with one division fewer;
 // the simulator's event loop is division-bound enough for the spelling

@@ -1,6 +1,8 @@
 package service
 
 import (
+	"encoding/json"
+	"fmt"
 	"strings"
 	"testing"
 )
@@ -29,8 +31,12 @@ func TestParseJobValid(t *testing.T) {
 				t.Fatal("parsed job has no network")
 			}
 			// The normalised form must be re-admissible: a restarted
-			// daemon parses Raw straight from the journal.
-			if _, err := ParseJob(job.Raw); err != nil {
+			// daemon parses the journalled spec straight back.
+			raw, err := json.Marshal(job.Spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := ParseJob(raw); err != nil {
 				t.Fatalf("normalised spec does not re-parse: %v", err)
 			}
 		})
@@ -76,12 +82,14 @@ func TestParseJobRejects(t *testing.T) {
 	}
 }
 
+// TestValidID: a job id is admitted only when it is safe as a spool file
+// stem; an omitted id is admitted too (the server assigns one).
 func TestValidID(t *testing.T) {
 	for id, want := range map[string]bool{
 		"job-1":                 true,
 		"a":                     true,
 		"A.b_c-9":               true,
-		"":                      false,
+		"":                      true,
 		".":                     false,
 		"..":                    false,
 		".hidden":               false,
@@ -90,8 +98,9 @@ func TestValidID(t *testing.T) {
 		strings.Repeat("x", 64): true,
 		strings.Repeat("x", 65): false,
 	} {
-		if got := validID(id); got != want {
-			t.Errorf("validID(%q) = %t, want %t", id, got, want)
+		_, err := ParseJob([]byte(fmt.Sprintf(`{"id": %q, "example": "canada2"}`, id)))
+		if got := err == nil; got != want {
+			t.Errorf("ParseJob with id %q: err = %v, want admitted %t", id, err, want)
 		}
 	}
 }
@@ -121,7 +130,11 @@ func FuzzParseJob(f *testing.F) {
 		if len(job.Spec.Start) != 0 && len(job.Spec.Start) != len(job.Net.Classes) {
 			t.Fatal("accepted start vector of the wrong length")
 		}
-		again, err := ParseJob(job.Raw)
+		raw, err := json.Marshal(job.Spec)
+		if err != nil {
+			t.Fatalf("normalising an accepted spec: %v", err)
+		}
+		again, err := ParseJob(raw)
 		if err != nil {
 			t.Fatalf("normalised spec does not re-parse: %v", err)
 		}

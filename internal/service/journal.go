@@ -129,9 +129,6 @@ func OpenJournal(dir string) (*Journal, error) {
 	return &Journal{dir: dir}, nil
 }
 
-// Dir returns the spool directory.
-func (j *Journal) Dir() string { return j.dir }
-
 // RecordPath returns the journal file of a job id.
 func (j *Journal) RecordPath(id string) string {
 	return filepath.Join(j.dir, id+recordSuffix)

@@ -182,7 +182,11 @@ func (s *Server) runAttempt(j *job, p *Job, resume bool) (res *JobResult, err er
 	}()
 	ctx, cancel := context.WithCancelCause(s.ctx)
 	defer cancel(nil)
-	if d := p.timeout(s.cfg.JobTimeout); d > 0 {
+	d := s.cfg.JobTimeout
+	if p.Spec.TimeoutMS > 0 {
+		d = time.Duration(p.Spec.TimeoutMS) * time.Millisecond
+	}
+	if d > 0 {
 		var tcancel context.CancelFunc
 		ctx, tcancel = context.WithTimeoutCause(ctx, d, errDeadline)
 		defer tcancel()
@@ -261,33 +265,24 @@ func (s *Server) runAttempt(j *job, p *Job, resume bool) (res *JobResult, err er
 	return nil, err
 }
 
-// searchOptions assembles the core options of one attempt.
+// searchOptions adds the daemon's own settings to the options the job
+// asks for: the worker clamp, the default watchdog, the warm start, the
+// checkpoint path, the commit feed and the shared oracle cache.
 func (s *Server) searchOptions(j *job, p *Job, ctx context.Context, start numeric.IntVector) core.Options {
-	workers := p.Spec.Workers
-	if workers > s.cfg.MaxSearchWorkers {
-		workers = s.cfg.MaxSearchWorkers
+	opts := p.Options()
+	opts.Workers = min(opts.Workers, s.cfg.MaxSearchWorkers)
+	if opts.EvalTimeout == 0 {
+		opts.EvalTimeout = s.cfg.EvalTimeout
 	}
-	opts := core.Options{
-		Evaluator:       p.Evaluator,
-		Objective:       p.Objective,
-		Search:          core.PatternSearch,
-		InitialWindows:  start,
-		MaxWindow:       p.Spec.MaxWindow,
-		Workers:         workers,
-		ExactEngine:     p.Spec.ExactEngine,
-		EvalTimeout:     p.evalTimeout(s.cfg.EvalTimeout),
-		DegradeAfter:    p.Spec.DegradeAfter,
-		MinScenarios:    p.Spec.MinScenarios,
-		Context:         ctx,
-		CheckpointPath:  s.journal.CheckpointPath(j.id),
-		CheckpointEvery: p.Spec.CheckpointEvery,
-		OnCommit: func(x numeric.IntVector, fx float64) {
-			ev := Event{Type: "commit", Windows: append([]int(nil), x...)}
-			if fx > 0 && !math.IsInf(fx, 0) && !math.IsNaN(fx) {
-				ev.Power = 1 / fx
-			}
-			j.emit(ev)
-		},
+	opts.InitialWindows = start
+	opts.Context = ctx
+	opts.CheckpointPath = s.journal.CheckpointPath(j.id)
+	opts.OnCommit = func(x numeric.IntVector, fx float64) {
+		ev := Event{Type: "commit", Windows: append([]int(nil), x...)}
+		if fx > 0 && !math.IsInf(fx, 0) && !math.IsNaN(fx) {
+			ev.Power = 1 / fx
+		}
+		j.emit(ev)
 	}
 	if opts.ExactEngine {
 		opts.Oracles = s.oracles

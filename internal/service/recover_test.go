@@ -78,7 +78,11 @@ func stageJob(t *testing.T, s *Server, spec string) *job {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rec := &Record{ID: p.Spec.ID, State: StateQueued, Spec: p.Raw, Created: time.Now().UTC()}
+	raw, err := json.Marshal(p.Spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec := &Record{ID: p.Spec.ID, State: StateQueued, Spec: raw, Created: time.Now().UTC()}
 	j := newJob(rec.ID, p, rec)
 	j.structHash = structuralHash(p.Net)
 	s.mu.Lock()
@@ -232,7 +236,7 @@ func serve(s *Server, method, path, body string) *httptest.ResponseRecorder {
 // lookups, and against finishing jobs feeding the warm-start index. Every
 // id is submitted by every client: exactly one wins it.
 func TestConcurrentSubmissions(t *testing.T) {
-	n, err := cliutil.BuiltinExample("canada2")
+	n, err := cliutil.LoadNetwork("", "canada2", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -511,7 +515,7 @@ func equivalenceSpool(t *testing.T, dir string) []string {
 		}
 		return string(spec) // indented, as a client may send it
 	}
-	pad := `"example":"tandem5"` + strings.Repeat(" ", maxSpecBytes)
+	pad := `"example":"tandem5"` + strings.Repeat(" ", cliutil.MaxSpecBytes)
 	type pair struct{ field, base, variant string }
 	pairs := []pair{
 		{"id", `"id":"fine"`, `"id":"not fine"`},

@@ -17,6 +17,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/cliutil"
 	"repro/internal/core"
 	"repro/internal/netmodel"
 	"repro/internal/numeric"
@@ -403,8 +404,8 @@ func (s *Server) offerWarm(hash string, rec *Record) {
 // else nil (the hop-count rule). Exhaustive shard jobs scan the whole box,
 // so only pattern-search jobs take a warm start. The caller holds s.mu.
 func (s *Server) startFor(p *Job, hash string) ([]int, bool) {
-	if start := p.startVector(); start != nil {
-		return start, false
+	if p.Spec.Start != nil {
+		return append([]int(nil), p.Spec.Start...), false
 	}
 	if e, ok := s.warm[hash]; ok && !p.Sharded() && len(e.windows) == len(p.Net.Classes) {
 		return append([]int(nil), e.windows...), true
@@ -421,11 +422,7 @@ func (s *Server) oracleEstimate(p *Job) (est int64, gated bool, err error) {
 	if !p.Spec.ExactEngine || p.Sharded() || s.oracles.Budget() <= 0 {
 		return 0, false, nil
 	}
-	maxw := p.Spec.MaxWindow
-	if maxw <= 0 {
-		maxw = 64
-	}
-	est, err = core.EstimateOracleBytes(p.Net, maxw)
+	est, err = core.EstimateOracleBytes(p.Net, p.Spec.MaxWindow)
 	return est, true, err
 }
 
@@ -506,15 +503,6 @@ func (s *Server) Drain(ctx context.Context) error {
 	return nil
 }
 
-// Kill aborts the daemon as a crash would: running jobs are cancelled
-// mid-attempt and NO journal transitions are written, leaving the spool
-// exactly as a SIGKILL at that instant. Tests use it to exercise the
-// restart-resume path in-process.
-func (s *Server) Kill() {
-	s.cancel(errCrash)
-	s.wg.Wait()
-}
-
 // ---- HTTP API ----
 
 func (s *Server) routes() *http.ServeMux {
@@ -559,18 +547,25 @@ func randomID() string {
 // journalled durably before the 202 goes out: an accepted job survives
 // any crash after the response.
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
-	data, err := io.ReadAll(io.LimitReader(r.Body, maxSpecBytes+1))
+	data, err := io.ReadAll(io.LimitReader(r.Body, cliutil.MaxSpecBytes+1))
 	if err != nil {
 		writeError(w, http.StatusBadRequest, "reading body: %v", err)
 		return
 	}
-	if len(data) > maxSpecBytes {
-		writeError(w, http.StatusRequestEntityTooLarge, "job spec exceeds %d bytes", maxSpecBytes)
+	if len(data) > cliutil.MaxSpecBytes {
+		writeError(w, http.StatusRequestEntityTooLarge, "job spec exceeds %d bytes", cliutil.MaxSpecBytes)
 		return
 	}
 	parsed, err := ParseJob(data)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, "%v", err)
+		return
+	}
+	// The journal keeps the normalised spec, so a restarted daemon
+	// re-parses exactly what was admitted.
+	raw, err := json.Marshal(parsed.Spec)
+	if err != nil {
+		writeError(w, http.StatusBadRequest, "normalising job spec: %v", err)
 		return
 	}
 	// The per-spec work runs before the server lock, which every other
@@ -646,7 +641,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	rec := &Record{
 		ID:      id,
 		State:   StateQueued,
-		Spec:    json.RawMessage(parsed.Raw),
+		Spec:    raw,
 		Created: time.Now().UTC(),
 	}
 	// Online re-dimensioning: when the same structure was solved before,

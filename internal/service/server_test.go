@@ -371,7 +371,7 @@ func TestWarmStartBeatsHopCount(t *testing.T) {
 	}
 
 	// The control: identical drifted job forced onto the hop-count start.
-	n, err := cliutil.BuiltinExample("canada2")
+	n, err := cliutil.LoadNetwork("", "canada2", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -400,7 +400,7 @@ func TestWarmStartBeatsHopCount(t *testing.T) {
 // rejected with 429 + Retry-After while the first is live, admitted once
 // it finishes, and the first job's idle oracle is evicted to make room.
 func TestAdmissionMemoryBudget(t *testing.T) {
-	n, err := cliutil.BuiltinExample("canada2")
+	n, err := cliutil.LoadNetwork("", "canada2", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -604,4 +604,13 @@ func TestJobDeadlinePartialResult(t *testing.T) {
 	if !rec.Result.Partial || len(rec.Result.Windows) == 0 {
 		t.Fatalf("expected a partial best-so-far result, got %+v", rec.Result)
 	}
+}
+
+// Kill aborts the daemon as a crash would: running jobs are cancelled
+// mid-attempt and NO journal transitions are written, leaving the spool
+// exactly as a SIGKILL at that instant. Tests use it to exercise the
+// restart-resume path in-process.
+func (s *Server) Kill() {
+	s.cancel(errCrash)
+	s.wg.Wait()
 }

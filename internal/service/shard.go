@@ -4,9 +4,7 @@ import (
 	"context"
 	"fmt"
 	"os"
-	"time"
 
-	"repro/internal/core"
 	"repro/internal/shard"
 )
 
@@ -37,48 +35,21 @@ func (s *Server) dimensionSharded(j *job, p *Job, ctx context.Context) (*JobResu
 	if err != nil {
 		return nil, err
 	}
-	workers := p.Spec.Workers
-	if workers > s.cfg.MaxSearchWorkers {
-		workers = s.cfg.MaxSearchWorkers
+	copts := p.Options()
+	copts.Workers = min(copts.Workers, s.cfg.MaxSearchWorkers)
+	sopts := p.ShardOptions()
+	sopts.Dir = s.journal.ShardDir(j.id)
+	sopts.WorkerArgv = argv
+	sopts.Transport = s.cfg.ShardTransport
+	sopts.Context = ctx
+	sopts.OnEvent = func(ev shard.Event) {
+		// Fold the coordinator's stream into the job's event feed under a
+		// "shard-" type prefix; seq and time are re-stamped there.
+		j.emit(Event{Type: "shard-" + ev.Type, Attempt: ev.Attempt,
+			Windows: append([]int(nil), ev.Windows...), Error: ev.Error})
 	}
-	copts := core.Options{
-		Evaluator:   p.Evaluator,
-		Objective:   p.Objective,
-		Search:      core.ExhaustiveSearch,
-		MaxWindow:   p.Spec.MaxWindow,
-		Workers:     workers,
-		ExactEngine: p.Spec.ExactEngine,
-	}
-	sopts := shard.Options{
-		Dir:        s.journal.ShardDir(j.id),
-		WorkerArgv: argv,
-		Transport:  s.cfg.ShardTransport,
-		Axis:       -1,
-		MaxRetries: -1, // coordinator default
-		Context:    ctx,
-		OnEvent: func(ev shard.Event) {
-			// Fold the coordinator's stream into the job's event feed under
-			// a "shard-" type prefix; seq and time are re-stamped there.
-			j.emit(Event{Type: "shard-" + ev.Type, Attempt: ev.Attempt,
-				Windows: append([]int(nil), ev.Windows...), Error: ev.Error})
-		},
-		Logf: func(format string, args ...any) {
-			s.logf("job "+j.id+": "+format, args...)
-		},
-	}
-	if sp := p.Spec.Shard; sp != nil {
-		sopts.Procs = sp.Procs
-		sopts.Slabs = sp.Slabs
-		sopts.AllowLost = sp.AllowLost
-		sopts.MaxHostsLost = sp.MaxHostsLost
-		if sp.Axis != nil {
-			sopts.Axis = *sp.Axis
-		}
-		if sp.SlabRetries != nil {
-			sopts.MaxRetries = *sp.SlabRetries
-		}
-		sopts.LeaseTTL = time.Duration(sp.LeaseTTLMS) * time.Millisecond
-		sopts.SlabDeadline = time.Duration(sp.SlabDeadlineMS) * time.Millisecond
+	sopts.Logf = func(format string, args ...any) {
+		s.logf("job "+j.id+": "+format, args...)
 	}
 	res, err := shard.Run(p.Net, copts, sopts)
 	if err != nil {

@@ -339,7 +339,7 @@ func buildManifest(n *netmodel.Network, copts core.Options, opts *Options) (*Man
 	}
 	maxW := copts.MaxWindow
 	if maxW <= 0 {
-		maxW = 64
+		maxW = core.DefaultMaxWindow
 	}
 	lo, hi := make([]int, dim), make([]int, dim)
 	for i := range lo {

@@ -157,8 +157,6 @@ func (q *calendarQueue) insert(e event) {
 	q.size++
 }
 
-func (q *calendarQueue) empty() bool { return q.size == 0 }
-
 func (q *calendarQueue) pop() event {
 	// Fast path: walk physical buckets from the scan position until one's
 	// cached tail virtual bucket matches the virtual bucket the scan is

@@ -411,3 +411,12 @@ func TestZeroAllocSteadyState(t *testing.T) {
 		t.Fatalf("steady-state event loop allocates: %v allocs/event", avg)
 	}
 }
+
+func (q *calendarQueue) empty() bool { return q.size == 0 }
+
+// step executes one event; false means the run is over (horizon reached
+// or no events left). It is run's loop body, kept as the single-step form
+// tests drive.
+func (s *state) step() bool {
+	return s.events.size != 0 && s.dispatch(s.events.pop())
+}

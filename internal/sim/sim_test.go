@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -320,4 +321,34 @@ func TestStateSanityInvariant(t *testing.T) {
 	if err := s.sanity(); err != nil {
 		t.Error(err)
 	}
+}
+
+// sanity returns a diagnostic error if the state's invariants break: no
+// node occupancy is negative, and the messages on channels match the
+// node buffers' count.
+func (s *state) sanity() error {
+	total := 0
+	for l := range s.channels {
+		ch := &s.channels[l]
+		for i := 0; i < ch.n; i++ {
+			mi := ch.q[(ch.head+i)&(len(ch.q)-1)]
+			if s.msgs[mi].class >= 0 {
+				total++
+			}
+		}
+		if ch.blockedMsg != msgNone {
+			total++
+		}
+	}
+	inNodes := 0
+	for _, c := range s.nodeCount {
+		if c < 0 {
+			return fmt.Errorf("sim: negative node occupancy")
+		}
+		inNodes += c
+	}
+	if total != inNodes {
+		return fmt.Errorf("sim: %d messages on channels but %d in node buffers", total, inNodes)
+	}
+	return nil
 }

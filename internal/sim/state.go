@@ -1,7 +1,6 @@
 package sim
 
 import (
-	"fmt"
 	"math"
 
 	"repro/internal/netmodel"
@@ -386,13 +385,6 @@ func (s *state) prime() {
 	for i := range s.faults {
 		s.events.push(s.faults[i].at, evFault, -1, i)
 	}
-}
-
-// step executes one event; false means the run is over (horizon reached
-// or no events left). It is run's loop body, kept as the single-step form
-// tests drive.
-func (s *state) step() bool {
-	return s.events.size != 0 && s.dispatch(s.events.pop())
 }
 
 // dispatch executes one popped event; false means the horizon is reached
@@ -858,33 +850,4 @@ func (s *state) isDeadlocked() bool {
 		}
 	}
 	return true
-}
-
-// sanity panics with a diagnostic if internal invariants break; used by
-// tests via the exported debug hooks below.
-func (s *state) sanity() error {
-	total := 0
-	for l := range s.channels {
-		ch := &s.channels[l]
-		for i := 0; i < ch.n; i++ {
-			mi := ch.q[(ch.head+i)&(len(ch.q)-1)]
-			if s.msgs[mi].class >= 0 {
-				total++
-			}
-		}
-		if ch.blockedMsg != msgNone {
-			total++
-		}
-	}
-	inNodes := 0
-	for _, c := range s.nodeCount {
-		if c < 0 {
-			return fmt.Errorf("sim: negative node occupancy")
-		}
-		inNodes += c
-	}
-	if total != inNodes {
-		return fmt.Errorf("sim: %d messages on channels but %d in node buffers", total, inNodes)
-	}
-	return nil
 }
